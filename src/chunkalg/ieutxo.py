@@ -11,20 +11,24 @@ pair of finite input/output sets.  A *chunk* is a transaction list in which
   4. that earlier output's validator accepts the input in its transaction
      context.
 
-Chunks compose by concatenation-then-revalidation; totalizing the partial
+Chunk validity is local: a list is a chunk iff every sublist of length at
+most two is (see :func:`pairwise_chunk_oracle`, the independent oracle used
+throughout the test suite).  So two chunks compose exactly when the pairs
+spanning their seam are valid, and :func:`compose` checks only the seam,
+reading a position index of each chunk (its unspent outputs, unspent inputs
+and spent channels), the way a ledger applies a block to its UTxO map.  The
+concatenation it returns is built by the one trusted constructor, carrying
+its own index; :class:`Chunk` built directly validates the whole list with
+:func:`check_chunk`, the from-scratch reference.  Totalizing the partial
 composition with the absorbing :data:`FAIL` element turns the chunk set into
 a monoid with an explicit failure top.  A *blockchain* is a chunk with no
 unspent inputs.
-
-Chunk validity is local: a list is a chunk iff every sublist of length at
-most two is (see :func:`pairwise_chunk_oracle`, the independent oracle used
-throughout the test suite).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .atoms import Atom, Permutation, act_opaque, fresh_atoms, value_label
 from .scripts import Script, evaluate_script, script_is_pure, script_label
@@ -36,10 +40,6 @@ class NotAChunk(Exception):
     def __init__(self, report: "ChunkReport"):
         super().__init__(str(report.violation))
         self.report = report
-
-
-class AmbiguousPosition(Exception):
-    """More than one output occurrence shares the queried position."""
 
 
 class NotAnArrow(Exception):
@@ -165,7 +165,7 @@ def pos(value: Any) -> frozenset[Atom]:
     if isinstance(value, PointedTransaction):
         return pos(value.transaction)
     if isinstance(value, Chunk):
-        value = value.txs
+        return _index_of(value).positions()
     if isinstance(value, (tuple, list)):
         out: frozenset[Atom] = frozenset()
         for tx in value:
@@ -232,26 +232,6 @@ class ChunkReport:
             "ok": self.ok,
             "violation": self.violation.to_obj() if self.violation else None,
         }
-
-
-def resolve(
-    txs: Sequence[Transaction], tx_index: int, inp: Input
-) -> Optional[tuple[Output, int]]:
-    """The unique output anywhere in ``txs`` sharing the input's position.
-
-    Returns ``(output, transaction_index)`` or ``None``; raises
-    :class:`AmbiguousPosition` if several output occurrences share the
-    position, which signals a duplicate-output violation.
-    """
-    hits = [
-        (o, t)
-        for t, tx in enumerate(txs)
-        for o in tx.outputs
-        if o.position == inp.position
-    ]
-    if len(hits) > 1:
-        raise AmbiguousPosition(inp.position)
-    return hits[0] if hits else None
 
 
 def check_chunk(txs: Union[Sequence[Transaction], "Chunk"]) -> ChunkReport:
@@ -358,12 +338,27 @@ class Chunk:
     """A transaction list satisfying the chunk conditions; validated on construction."""
 
     txs: TxList
+    # Set only by _trusted: the index of a composition (see _Index).
+    _index = None
 
     def __post_init__(self):
         report = check_chunk(self.txs)
         if not report.ok:
             raise NotAChunk(report)
         object.__setattr__(self, "txs", tuple(self.txs))
+
+    @classmethod
+    def _trusted(cls, txs: TxList, index: Optional["_Index"] = None) -> "Chunk":
+        """A chunk of ``txs`` already known valid, built without revalidation.
+
+        The one constructor that skips :func:`check_chunk`; callers hand it
+        seam-checked compositions and renamed singleton probes.
+        """
+        chunk = object.__new__(cls)
+        object.__setattr__(chunk, "txs", txs)
+        if index is not None:
+            object.__setattr__(chunk, "_index", index)
+        return chunk
 
     def __len__(self) -> int:
         return len(self.txs)
@@ -404,14 +399,91 @@ EMPTY_CHUNK = Chunk(())
 ChunkOrFail = Union[Chunk, _Fail]
 
 
+class _Index(NamedTuple):
+    """A chunk's ledger by position, which is all a seam check reads.
+
+    ``outs`` maps each unspent output's position to the output, ``ins`` each
+    unspent input's position to its transaction and the input, and ``stx``
+    holds the spent channels.  Every input position of the chunk is in
+    ``ins`` or ``stx`` and every output position in ``outs`` or ``stx``.
+    """
+
+    outs: dict
+    ins: dict
+    stx: frozenset[Atom]
+
+    def positions(self) -> frozenset[Atom]:
+        return self.stx.union(self.outs, self.ins)
+
+
+def _build_index(txs: TxList) -> _Index:
+    """The index of ``txs`` in one pass; ``txs`` must be a chunk."""
+    outs: dict = {}
+    ins: dict = {}
+    spent = []
+    for tx in txs:
+        for i in tx.inputs:
+            if outs.pop(i.position, None) is None:
+                ins[i.position] = (tx, i)
+            else:
+                spent.append(i.position)
+        for o in tx.outputs:
+            outs[o.position] = o
+    return _Index(outs, ins, frozenset(spent))
+
+
+def _index_of(chunk: Chunk) -> _Index:
+    """The chunk's index: a composition carries one; for any other chunk it
+    is built afresh and not kept, since pools hold many chunks."""
+    return chunk._index or _build_index(chunk.txs)
+
+
+def _seam(x: _Index, y: _Index) -> Optional[set]:
+    """Where chunk ``y`` spends chunk ``x``'s outputs, or None if ``x·y`` is
+    not a chunk.
+
+    Validity is local, so ``x·y`` is a chunk exactly when ``y``'s outputs
+    avoid ``x``'s outputs, ``y``'s inputs avoid ``x``'s inputs, ``x``'s
+    inputs avoid ``y``'s outputs, and every ``y`` input on an ``x`` output
+    passes that output's validator.  A chunk's unspent outputs, unspent
+    inputs and spent channels partition its positions, so on the indices:
+    the only positions the two share are ``y``'s unspent inputs on ``x``'s
+    unspent outputs, and those validate.
+    """
+    xo, yi = x.outs.keys(), y.ins.keys()
+    for a in (xo, x.ins.keys(), x.stx):
+        for b in (y.outs.keys(), yi, y.stx):
+            if not (a is xo and b is yi) and not a.isdisjoint(b):
+                return None
+    spends = xo & yi
+    for p in spends:
+        tx, i = y.ins[p]
+        if not validates(x.outs[p], PointedTransaction(tx, i)):
+            return None
+    return spends
+
+
 def compose(x: ChunkOrFail, y: ChunkOrFail) -> ChunkOrFail:
-    """Validated concatenation, defaulting to FAIL; FAIL is absorbing."""
+    """The concatenation if it is a chunk, else FAIL; FAIL is absorbing.
+
+    Only the seam is checked (:func:`_seam`); the result is built by the
+    trusted constructor and carries its index, derived from the operands'
+    indices, for later compositions and ledger reads.
+    """
     if x is FAIL or y is FAIL:
         return FAIL
-    cat = x.txs + y.txs
-    if not check_chunk(cat).ok:
+    ix, iy = _index_of(x), _index_of(y)
+    spends = _seam(ix, iy)
+    if spends is None:
         return FAIL
-    return Chunk(cat)
+    outs = dict(ix.outs)
+    ins = {**ix.ins, **iy.ins}
+    for p in spends:
+        del outs[p]
+        del ins[p]
+    outs.update(iy.outs)
+    index = _Index(outs, ins, ix.stx.union(iy.stx, spends))
+    return Chunk._trusted(x.txs + y.txs, index)
 
 
 def compose_all(parts: Iterable[ChunkOrFail]) -> ChunkOrFail:
@@ -451,34 +523,16 @@ def sublists(txs: TxList) -> Iterator[TxList]:
 # Ledger sets
 
 
-def _chunk_txs(value: Union[Chunk, Sequence[Transaction]]) -> TxList:
-    if isinstance(value, Chunk):
-        return value.txs
-    report = check_chunk(value)
-    if not report.ok:
-        raise NotAChunk(report)
-    return tuple(value)
-
-
 def ledger_sets(
     value: Union[Chunk, Sequence[Transaction]],
 ) -> tuple[frozenset[Atom], frozenset[Atom], frozenset[Atom]]:
-    """(unspent inputs, unspent outputs, spent channels); they partition pos."""
-    txs = _chunk_txs(value)
-    out_positions = {o.position for tx in txs for o in tx.outputs}
-    spent: set[Atom] = set()
-    unspent_in: set[Atom] = set()
-    for tx in txs:
-        for i in tx.inputs:
-            if i.position in out_positions:
-                spent.add(i.position)
-            else:
-                unspent_in.add(i.position)
-    return (
-        frozenset(unspent_in),
-        frozenset(out_positions - spent),
-        frozenset(spent),
-    )
+    """(unspent inputs, unspent outputs, spent channels); they partition pos.
+
+    Read off the chunk's index; a transaction list is validated first and
+    raises :class:`NotAChunk` if it is not a chunk.
+    """
+    ix = _index_of(value if isinstance(value, Chunk) else Chunk(value))
+    return frozenset(ix.ins), frozenset(ix.outs), ix.stx
 
 
 def utxi(value: Union[Chunk, Sequence[Transaction]]) -> frozenset[Atom]:
@@ -530,9 +584,10 @@ class IeutxoModel:
         for tx in self.transactions:
             if tx.is_empty():
                 raise ModelError("models may not enumerate the empty transaction")
-            if input_channels(tx) & output_channels(tx):
+            if not is_chunk((tx,)):
                 raise ModelError(
-                    "enumerated transactions need disjoint input/output channels"
+                    "enumerated transactions must be chunks on their own "
+                    "(disjoint input/output channels, distinct positions)"
                 )
             if self.admissible is not None and not self.admissible(tx):
                 raise ModelError("enumerated transaction fails the admissible predicate")
@@ -557,21 +612,21 @@ def enumerate_chunks(
     a position, and repeats collide), so the walk terminates; prefixes of
     chunks are chunks, which makes pruning safe.
     """
-    txs = model.transactions
-    limit = len(txs) if max_len is None else min(max_len, len(txs))
+    singles = [Chunk((tx,)) for tx in model.transactions]
+    limit = len(singles) if max_len is None else min(max_len, len(singles))
 
-    def walk(prefix: TxList, used: frozenset[int]) -> Iterator[Chunk]:
-        yield Chunk(prefix)
+    def walk(prefix: Chunk, used: frozenset[int]) -> Iterator[Chunk]:
+        yield prefix
         if len(prefix) >= limit:
             return
-        for idx, tx in enumerate(txs):
+        for idx, single in enumerate(singles):
             if idx in used:
                 continue
-            cand = prefix + (tx,)
-            if check_chunk(cand).ok:
-                yield from walk(cand, used | {idx})
+            grown = compose(prefix, single)
+            if grown is not FAIL:
+                yield from walk(grown, used | {idx})
 
-    return walk((), frozenset())
+    return walk(EMPTY_CHUNK, frozenset())
 
 
 def is_iutxo_model(model: IeutxoModel) -> bool:
@@ -599,34 +654,53 @@ def _retarget(
     return cand.rename(Permutation.extending(mapping))
 
 
-def _probe_prepend(a: Atom, ch: Chunk, model: IeutxoModel) -> bool:
-    """Can some renamed candidate provide an ``a``-output that the chunk spends?"""
-    avoid = pos(ch)
-    for cand in model.probe_candidates:
-        for o in cand.outputs:
-            probe = _retarget(cand, o.position, a, avoid)
-            if input_channels(probe) & output_channels(probe):
-                continue
-            if not model.is_admissible(probe):
-                continue
-            if compose(Chunk((probe,)), ch) is not FAIL:
-                return True
-    return False
+def _probe_candidates(model: IeutxoModel) -> list[Transaction]:
+    """The declared probe universe, less candidates that are not chunks on
+    their own: renaming keeps a transaction's positions distinct, so no
+    renamed copy of those is one either."""
+    if model.probe_candidates is None:
+        raise MissingProbeUniverse(model.name)
+    return [cand for cand in model.probe_candidates if is_chunk((cand,))]
 
 
-def _probe_append(a: Atom, ch: Chunk, model: IeutxoModel) -> bool:
-    """Can some renamed candidate spend the chunk's ``a``-output?"""
-    avoid = pos(ch)
-    for cand in model.probe_candidates:
-        for i in cand.inputs:
-            probe = _retarget(cand, i.position, a, avoid)
-            if input_channels(probe) & output_channels(probe):
-                continue
-            if not model.is_admissible(probe):
-                continue
-            if compose(ch, Chunk((probe,))) is not FAIL:
-                return True
-    return False
+def _renamed_probes(
+    model: IeutxoModel,
+    cands: list[Transaction],
+    a: Atom,
+    avoid: frozenset[Atom],
+    slots: Callable[[Transaction], frozenset[Atom]],
+) -> Iterator[Transaction]:
+    """Each candidate renamed so that one of its ``slots`` lands on ``a`` and
+    its other positions are fresh outside ``avoid``, where still admissible."""
+    for cand in cands:
+        for slot in sorted(slots(cand)):
+            probe = _retarget(cand, slot, a, avoid)
+            if model.is_admissible(probe):
+                yield probe
+
+
+def _blocked(ch: Chunk, model: IeutxoModel, inputs: bool) -> frozenset[Atom]:
+    """The unspent inputs (or outputs) of ``ch`` that no probe connects to.
+
+    A probe for an unspent input has a renamed candidate output there and
+    goes before ``ch``; one for an unspent output has a renamed candidate
+    input there and goes after.  ``ch``'s index is built once and each probe
+    is seam-checked against it.
+    """
+    cands = _probe_candidates(model)
+    ix = _index_of(ch)
+    avoid = ix.positions()
+
+    def connects(probe: Transaction) -> bool:
+        ip = _build_index((probe,))
+        return (_seam(ip, ix) if inputs else _seam(ix, ip)) is not None
+
+    atoms, slots = (ix.ins, output_channels) if inputs else (ix.outs, input_channels)
+    return frozenset(
+        a
+        for a in atoms
+        if not any(map(connects, _renamed_probes(model, cands, a, avoid, slots)))
+    )
 
 
 def blocked_utxi(ch: Chunk, model: IeutxoModel) -> frozenset[Atom]:
@@ -636,20 +710,12 @@ def blocked_utxi(ch: Chunk, model: IeutxoModel) -> frozenset[Atom]:
     declared probe universe closed under renaming of non-queried positions;
     single-transaction probes suffice because validity is local.
     """
-    if model.probe_candidates is None:
-        raise MissingProbeUniverse(model.name)
-    return frozenset(
-        a for a in sorted(utxi(ch)) if not _probe_prepend(a, ch, model)
-    )
+    return _blocked(ch, model, inputs=True)
 
 
 def blocked_utxo(ch: Chunk, model: IeutxoModel) -> frozenset[Atom]:
     """Unspent outputs no candidate chunk can spend; dual to :func:`blocked_utxi`."""
-    if model.probe_candidates is None:
-        raise MissingProbeUniverse(model.name)
-    return frozenset(
-        a for a in sorted(utxo(ch)) if not _probe_append(a, ch, model)
-    )
+    return _blocked(ch, model, inputs=False)
 
 
 def renamed_probe_chunks(
@@ -659,23 +725,16 @@ def renamed_probe_chunks(
 
     Every candidate slot (input or output) is retargeted onto every queried
     atom with the remaining positions fresh, giving the singleton chunks
-    that can possibly connect there.  Candidates that stop being admissible
-    or singleton-valid under renaming are skipped.
+    that can possibly connect there.  Candidates that are not chunks on
+    their own, or stop being admissible under renaming, are skipped.
     """
-    if model.probe_candidates is None:
-        raise MissingProbeUniverse(model.name)
+    cands = _probe_candidates(model)
     avoid = frozenset(atoms)
-    out: list[Chunk] = []
-    for a in sorted(avoid):
-        for cand in model.probe_candidates:
-            for slot in sorted(pos(cand)):
-                probe = _retarget(cand, slot, a, avoid)
-                if input_channels(probe) & output_channels(probe):
-                    continue
-                if not model.is_admissible(probe):
-                    continue
-                out.append(Chunk((probe,)))
-    return out
+    return [
+        Chunk._trusted((probe,))
+        for a in sorted(avoid)
+        for probe in _renamed_probes(model, cands, a, avoid, pos)
+    ]
 
 
 # ---------------------------------------------------------------------------

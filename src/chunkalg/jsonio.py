@@ -43,6 +43,9 @@ from .scripts import (
 )
 
 SCHEMA_VERSION = 1
+# Deepest validator nesting accepted: scripts are evaluated, labelled and
+# canonicalized recursively, so a deeper one would exhaust the stack there.
+MAX_SCRIPT_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -82,10 +85,13 @@ def perm_from_obj(obj: Any) -> "Permutation":
 # Scripts
 
 
-def script_from_obj(obj: Any) -> Script:
+def script_from_obj(obj: Any, _depth: int = 1) -> Script:
+    if _depth > MAX_SCRIPT_DEPTH:
+        raise ParseError(f"validator nests deeper than {MAX_SCRIPT_DEPTH} nodes")
     if not isinstance(obj, dict) or "node" not in obj:
         raise ParseError(f"validator must be an object with a 'node': {obj!r}")
     node = obj["node"]
+    deeper = _depth + 1
     try:
         if node == "accept_all":
             return AcceptAll()
@@ -104,15 +110,15 @@ def script_from_obj(obj: Any) -> Script:
             return InputPositionIn(frozenset(positions))
         if node == "spends_at_most_n_inputs":
             limit = obj["limit"]
-            if not isinstance(limit, int) or limit < 0:
+            if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
                 raise ParseError("limit must be a nonnegative integer")
             return SpendsAtMostNInputs(limit)
         if node == "not":
-            return Not(script_from_obj(obj["body"]))
+            return Not(script_from_obj(obj["body"], deeper))
         if node == "and":
-            return And(script_from_obj(obj["left"]), script_from_obj(obj["right"]))
+            return And(script_from_obj(obj["left"], deeper), script_from_obj(obj["right"], deeper))
         if node == "or":
-            return Or(script_from_obj(obj["left"]), script_from_obj(obj["right"]))
+            return Or(script_from_obj(obj["left"], deeper), script_from_obj(obj["right"], deeper))
         if node == "acs_compose":
             raise ParseError(
                 "acs_compose validators reference a live instance and cannot "
@@ -273,3 +279,5 @@ def _read_json(path: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nests too deeply to load") from None

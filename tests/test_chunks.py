@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from chunkalg.atoms import Permutation, act, swap
 from chunkalg.generators import GenConfig, gen_txlist, gen_valid_chunk, stream
 from chunkalg.ieutxo import (
-    AmbiguousPosition,
     BACKWARD_OR_SELF_POINTER,
     Chunk,
     DUPLICATE_INPUT_POSITION,
@@ -26,7 +25,6 @@ from chunkalg.ieutxo import (
     output_channels,
     pairwise_chunk_oracle,
     pos,
-    resolve,
     sublists,
 )
 from chunkalg.scripts import KeyEquals
@@ -108,25 +106,30 @@ def test_singleton_validity_is_channel_disjointness(pair_txs):
     assert not is_chunk((bad,))
 
 
-def test_resolve(pair_txs):
+def test_check_chunk_finds_the_spent_output(pair_txs):
+    """An input meets the unique output at its position: spending an earlier
+    one is checked against its validator, a later one is a backward
+    pointer with the (input, output) transaction indices."""
     tx, ty = pair_txs
-    d_input = ty.inputs[0]
-    assert d_input.position == "d"
-    hit = resolve((tx, ty), 1, d_input)
-    assert hit is not None and hit[1] == 0 and hit[0].position == "d"
-    a_input = tx.inputs[0]
-    assert resolve((tx,), 0, a_input) is None
-    # in the swapped order the output is found at a later index
-    hit2 = resolve((ty, tx), 0, d_input)
-    assert hit2 is not None and hit2[1] == 1
+    assert ty.inputs[0].position == "d" and tx.outputs[0].position == "d"
+    assert check_chunk((tx, ty)).ok
+    assert check_chunk((tx,)).ok  # tx's inputs meet no output
+    rep = check_chunk((ty, tx))
+    assert rep.violation.kind == BACKWARD_OR_SELF_POINTER
+    assert rep.violation.positions == ("d",) and rep.violation.tx_indices == (0, 1)
+    locked = mk_tx([("a", "x1")], [("d", 1, KeyEquals("nobody")), ("e", 2)])
+    rep = check_chunk((locked, ty))
+    assert rep.violation.kind == VALIDATION_FAILED
+    assert rep.violation.positions == ("d",) and rep.violation.tx_indices == (0, 1)
 
 
-def test_resolve_ambiguous():
+def test_check_chunk_ambiguous_output():
     a1 = mk_tx([], [("a", 0)])
     a2 = mk_tx([], [("a", 1)])
     spender = mk_tx([("a", "k")], [])
-    with pytest.raises(AmbiguousPosition):
-        resolve((a1, a2, spender), 2, spender.inputs[0])
+    rep = check_chunk((a1, a2, spender))
+    assert rep.violation.kind == DUPLICATE_OUTPUT_POSITION
+    assert rep.violation.positions == ("a",) and rep.violation.tx_indices == (0, 1)
 
 
 def test_compose_unit_and_fail(pair_txs):

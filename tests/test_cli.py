@@ -3,6 +3,7 @@
 import json
 
 from chunkalg.cli import main
+from chunkalg.jsonio import MAX_SCRIPT_DEPTH
 
 from conftest import fixture_path
 
@@ -47,6 +48,29 @@ def test_validate_garbage(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     assert main(["validate", str(bad)]) == 2
+
+
+def _one_output_file(tmp_path, validator_json):
+    path = tmp_path / "chunk.json"
+    path.write_text('[{"outputs":[{"pos":"a","datum":0,"validator":' + validator_json + "}]}]")
+    return str(path)
+
+
+def test_validate_deep_validator_is_parse_error(tmp_path, capsys):
+    """Nesting past the bound, or past what json can load, exits 2 with a
+    message instead of a RecursionError traceback."""
+    for nodes, code in ((MAX_SCRIPT_DEPTH, 0), (MAX_SCRIPT_DEPTH + 1, 2), (3000, 2)):
+        nots = nodes - 1
+        nested = '{"node":"not","body":' * nots + '{"node":"accept_all"}' + "}" * nots
+        assert main(["validate", _one_output_file(tmp_path, nested)]) == code
+        err = capsys.readouterr().err
+        assert ("parse error" in err) == (code == 2) and "Traceback" not in err
+
+
+def test_validate_boolean_limit_is_parse_error(tmp_path, capsys):
+    path = _one_output_file(tmp_path, '{"node":"spends_at_most_n_inputs","limit":true}')
+    assert main(["validate", path]) == 2
+    assert "limit must be a nonnegative integer" in capsys.readouterr().err
 
 
 def test_ledger_blockchain(capsys):

@@ -1,0 +1,197 @@
+"""Seam composition against the from-scratch references.
+
+``compose`` checks only the seam between two chunks, reading an index of the
+left one, and the blocked-channel analysis seam-checks each renamed probe.
+Both are compared here with ``check_chunk`` and ``pairwise_chunk_oracle`` on
+the concatenation, with each seam violation kind forced, and with the
+probe path that composed every probe as a checked singleton chunk.
+"""
+
+from itertools import permutations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chunkalg.generators import GenConfig, gen_model, gen_valid_chunk, stream
+from chunkalg.ieutxo import (
+    BACKWARD_OR_SELF_POINTER,
+    DUPLICATE_INPUT_POSITION,
+    DUPLICATE_OUTPUT_POSITION,
+    EMPTY_CHUNK,
+    FAIL,
+    VALIDATION_FAILED,
+    Chunk,
+    Input,
+    Output,
+    Transaction,
+    _retarget,
+    blocked_utxi,
+    blocked_utxo,
+    check_chunk,
+    compose,
+    compose_all,
+    enumerate_chunks,
+    input_channels,
+    ledger_sets,
+    output_channels,
+    pairwise_chunk_oracle,
+    pos,
+)
+from chunkalg.scripts import AcceptAll, RejectAll
+
+
+def _ledger_reference(txs):
+    """(utxi, utxo, stx) of a chunk straight from its position sets: in a
+    chunk each position carries at most one input and one output."""
+    ins = {i.position for tx in txs for i in tx.inputs}
+    outs = {o.position for tx in txs for o in tx.outputs}
+    return frozenset(ins - outs), frozenset(outs - ins), frozenset(ins & outs)
+
+
+def _indexed(ch):
+    """The same chunk rebuilt by composition, so it carries an index."""
+    return compose_all(Chunk((tx,)) for tx in ch.txs)
+
+
+@st.composite
+def chunk_triples(draw):
+    """Three generated chunks over one small atom pool, so seams often clash."""
+    cfg = GenConfig(seed=draw(st.integers(0, 2**20)), max_atoms=draw(st.integers(4, 9)), max_txs=3)
+    rng = stream(cfg)
+    return [gen_valid_chunk(cfg, rng) for _ in range(3)]
+
+
+def _assert_agrees(x, y):
+    got = compose(x, y)
+    cat = x.txs + y.txs
+    ok = check_chunk(cat).ok
+    assert (got is not FAIL) == ok == pairwise_chunk_oracle(cat)
+    if ok:
+        assert got.txs == cat
+        assert ledger_sets(got) == _ledger_reference(cat)
+        assert pos(got) == pos(cat)
+    return got
+
+
+@given(chunk_triples())
+@settings(max_examples=300, deadline=None)
+def test_seam_compose_agrees_with_references(chunks):
+    x, y, z = chunks
+    for a, b in ((x, y), (y, x), (x, z), (z, y)):
+        _assert_agrees(a, b)
+        _assert_agrees(_indexed(a), b)
+        xy = _assert_agrees(a, _indexed(b))
+        if xy is not FAIL:
+            # an index derived from an index, on either side of the seam
+            _assert_agrees(xy, z)
+            _assert_agrees(z, xy)
+    whole = compose_all(chunks)
+    cat = x.txs + y.txs + z.txs
+    assert (whole is not FAIL) == check_chunk(cat).ok
+    if whole is not FAIL:
+        assert ledger_sets(whole) == _ledger_reference(cat)
+
+
+FRESH, FRESH2 = "zz1", "zz2"
+
+
+def _forced(x, kind):
+    """(left chunk, right chunk) whose seam fails with ``kind``, or None when
+    ``x`` offers no position to force it on."""
+    u_in, u_out, spent = _ledger_reference(x.txs)
+    if kind == DUPLICATE_OUTPUT_POSITION and u_out | spent:
+        p = min(u_out | spent)
+        return x, Chunk((Transaction((), [Output(p, 0, AcceptAll())]),))
+    if kind == DUPLICATE_INPUT_POSITION and u_in | spent:
+        p = min(u_in | spent)
+        return x, Chunk((Transaction([Input(p, "k")], [Output(FRESH, 0, AcceptAll())]),))
+    if kind == BACKWARD_OR_SELF_POINTER and u_in:
+        return x, Chunk((Transaction((), [Output(min(u_in), 0, AcceptAll())]),))
+    if kind == VALIDATION_FAILED:
+        locked = compose(x, Chunk((Transaction((), [Output(FRESH, 0, RejectAll())]),)))
+        return locked, Chunk((Transaction([Input(FRESH, "k")], [Output(FRESH2, 0, AcceptAll())]),))
+    return None
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [DUPLICATE_OUTPUT_POSITION, DUPLICATE_INPUT_POSITION, BACKWARD_OR_SELF_POINTER, VALIDATION_FAILED],
+)
+@given(chunk_triples())
+@settings(max_examples=60, deadline=None)
+def test_forced_seam_violations(kind, chunks):
+    for x in chunks:
+        for left in (x, _indexed(x)):
+            pair = _forced(left, kind)
+            if pair is None:
+                continue
+            a, b = pair
+            cat = a.txs + b.txs
+            assert compose(a, b) is FAIL
+            assert check_chunk(cat).violation.kind == kind
+            assert not pairwise_chunk_oracle(cat)
+
+
+def test_forced_violations_on_spent_channels():
+    """A channel spent inside one chunk clashes with any use on the other side."""
+    a_then_spend = Chunk((
+        Transaction((), [Output("a", 0, AcceptAll())]),
+        Transaction([Input("a", "k")], [Output("b", 0, AcceptAll())]),
+    ))
+    cases = [
+        (a_then_spend, Transaction((), [Output("a", 1, AcceptAll())]), DUPLICATE_OUTPUT_POSITION),
+        (a_then_spend, Transaction([Input("a", "j")], [Output("c", 0, AcceptAll())]), DUPLICATE_INPUT_POSITION),
+        (Chunk((Transaction([Input("a", "k")], [Output("c", 0, AcceptAll())]),)),
+         a_then_spend, BACKWARD_OR_SELF_POINTER),
+    ]
+    for x, y, kind in cases:
+        y = y if isinstance(y, Chunk) else Chunk((y,))
+        for left in (x, _indexed(x)):
+            for right in (y, _indexed(y)):
+                assert compose(left, right) is FAIL
+                assert check_chunk(left.txs + right.txs).violation.kind == kind
+
+
+def _singleton_compose_blocked(ch, model, inputs):
+    """Blocked channels the way they were found before the seam check:
+    every renamed probe made a singleton chunk and composed with ``ch`` by
+    checking the whole concatenation."""
+    u_in, u_out, _ = _ledger_reference(ch.txs)
+    avoid = pos(ch.txs)
+    blocked = set()
+    for a in u_in if inputs else u_out:
+        connects = False
+        for cand in model.probe_candidates:
+            for slot in cand.outputs if inputs else cand.inputs:
+                probe = _retarget(cand, slot.position, a, avoid)
+                if input_channels(probe) & output_channels(probe) or not model.is_admissible(probe):
+                    continue
+                cat = (probe,) + ch.txs if inputs else ch.txs + (probe,)
+                connects = connects or check_chunk(cat).ok
+        if not connects:
+            blocked.add(a)
+    return frozenset(blocked)
+
+
+@given(st.integers(0, 2**20), st.integers(2, 4))
+@settings(max_examples=40, deadline=None)
+def test_probe_loop_and_enumeration_match_references(seed, n_txs):
+    cfg = GenConfig(seed=seed, max_txs=n_txs)
+    rng = stream(cfg)
+    model = gen_model(cfg, rng, n_txs=n_txs)
+    chunks = list(enumerate_chunks(model))
+    txs = model.transactions
+    assert {c.txs for c in chunks} == {
+        p for r in range(len(txs) + 1) for p in permutations(txs, r) if check_chunk(p).ok
+    }
+    for ch in chunks[:10] + [gen_valid_chunk(cfg, rng) for _ in range(3)]:
+        for probed in (Chunk(ch.txs), _indexed(ch)):
+            assert blocked_utxi(probed, model) == _singleton_compose_blocked(ch, model, True)
+            assert blocked_utxo(probed, model) == _singleton_compose_blocked(ch, model, False)
+
+
+def test_empty_chunk_is_the_unit_for_indexed_chunks(pair_txs):
+    ch = _indexed(Chunk(pair_txs))
+    assert compose(ch, EMPTY_CHUNK) == ch == compose(EMPTY_CHUNK, ch)
+    assert ledger_sets(compose(ch, EMPTY_CHUNK)) == ledger_sets(Chunk(pair_txs))
