@@ -20,7 +20,7 @@ Three instances ship:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -40,11 +40,25 @@ from .ieutxo import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TopElement:
-    """A formal failure element for instances whose carrier lacks one."""
+    """A formal failure element for instances whose carrier lacks one.
+
+    Interned: there is one object per tag, so two instances built
+    separately share their top, and equality with a top is identity.
+    """
 
     tag: str
+    _interned = {}
+
+    def __new__(cls, tag: str) -> "TopElement":
+        top = cls._interned.get(tag)
+        if top is None:
+            top = cls._interned[tag] = super().__new__(cls)
+        return top
+
+    def __reduce__(self):
+        return (TopElement, (self.tag,))
 
     def rename(self, perm: Permutation) -> "TopElement":
         return self
@@ -72,7 +86,10 @@ class AcsInstance:
         raise NotImplementedError
 
     def is_top(self, x: Any) -> bool:
-        return x == self.top
+        top = self.top
+        # A TopElement is interned, so only an instance whose top is a
+        # carrier value needs an equality test.
+        return x is top or (not isinstance(top, TopElement) and x == top)
 
     def is_bot(self, x: Any) -> bool:
         return x == self.bot
@@ -266,17 +283,18 @@ Term = Any  # Var | Fn
 
 @dataclass(frozen=True, init=False)
 class Subst:
-    """A finite substitution: a sorted tuple of (atom, term) bindings."""
+    """A finite substitution: a sorted tuple of (atom, term) bindings.
+
+    ``dom``, the set of bound atoms, is built with the bindings and kept.
+    """
 
     bindings: tuple[tuple[Atom, Term], ...]
+    dom: frozenset[Atom] = field(compare=False, repr=False)
 
     def __init__(self, bindings: Iterable[tuple[Atom, Term]] = ()):
         items = sorted(dict(bindings).items())
         object.__setattr__(self, "bindings", tuple(items))
-
-    @property
-    def dom(self) -> frozenset[Atom]:
-        return frozenset(a for a, _ in self.bindings)
+        object.__setattr__(self, "dom", frozenset(a for a, _ in items))
 
     def mapping(self) -> dict:
         return dict(self.bindings)

@@ -28,6 +28,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 from .atoms import Atom, Permutation, fresh_atoms
 from .acs import AcsArrow, AcsInstance, commute_probe, in_leftB, in_rightB
+from .ieutxo import is_sublist
 
 
 @dataclass
@@ -75,9 +76,13 @@ MAX_WITNESSES = 5
 
 
 class _Law:
-    """Accumulates failures for one law."""
+    """Counts the checks of one law and keeps its first failures.
 
-    def __init__(self, name: str, inst: AcsInstance):
+    With an instance, a failure's witness is the list of labels of the
+    elements involved; without one, it is the single note passed along.
+    """
+
+    def __init__(self, name: str, inst: Optional[AcsInstance] = None):
         self.name = name
         self.inst = inst
         self.checked = 0
@@ -86,7 +91,10 @@ class _Law:
     def check(self, ok: bool, *involved: Any) -> None:
         self.checked += 1
         if not ok and len(self.witnesses) < MAX_WITNESSES:
-            self.witnesses.append([self.inst.label(v) for v in involved])
+            if self.inst is None:
+                self.witnesses.append(involved[0])
+            else:
+                self.witnesses.append([self.inst.label(v) for v in involved])
 
     def result(self) -> LawResult:
         return LawResult(self.name, not self.witnesses, self.checked, self.witnesses)
@@ -364,7 +372,7 @@ def atomic_axiom_check(
         if strict:
             hom_literal.check(inst.factor(xy) == cat, x, y)
         if inst.leq(x, y):
-            sub.check(_is_sublist(inst.factor(x), inst.factor(y)), x, y)
+            sub.check(is_sublist(inst.factor(x), inst.factor(y)), x, y)
 
     results = [recompose, atomic_parts, hom, atomic_single]
     if strict:
@@ -376,11 +384,6 @@ def _permutations_capped(items: Sequence, cap: int):
     import itertools
 
     return itertools.islice(itertools.permutations(items), cap)
-
-
-def _is_sublist(small: Sequence, big: Sequence) -> bool:
-    it = iter(big)
-    return all(any(a == b for b in it) for a in small)
 
 
 # ---------------------------------------------------------------------------

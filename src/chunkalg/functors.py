@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from .acs import AcsArrow, AcsInstance, ChunkAcs, identity_acs_arrow
-from .axioms import AxiomReport, LawResult
+from .axioms import AxiomReport, LawResult, _Law
 from .ieutxo import (
     FAIL,
     Chunk,
@@ -216,21 +216,6 @@ def epsilon(inst: AcsInstance, gmodel: Optional[GModel] = None) -> EpsilonMap:
 # The adjunction, checked
 
 
-class _Law:
-    def __init__(self, name: str):
-        self.name = name
-        self.checked = 0
-        self.witnesses: list = []
-
-    def check(self, ok: bool, note: str = "") -> None:
-        self.checked += 1
-        if not ok and len(self.witnesses) < 5:
-            self.witnesses.append(note)
-
-    def result(self) -> LawResult:
-        return LawResult(self.name, not self.witnesses, self.checked, self.witnesses)
-
-
 def check_adjunction(
     model: IeutxoModel,
     inst: AcsInstance,
@@ -287,7 +272,7 @@ def check_adjunction(
     tri_f = _Law("triangle_counit_after_unit_image")
     eps_ft = epsilon(et.facs, et.gmodel)
     feta = f_arrow(et.as_arrow())
-    for x in _chunk_samples(et.facs, samples, seed + 1):
+    for x in et.facs.sample_elements(samples, seed + 1):
         tri_f.check(
             eps_ft.on_element(feta(x)) == x,
             f"triangle fails at {et.facs.label(x)}",
@@ -399,10 +384,6 @@ def check_adjunction(
     return report
 
 
-def _chunk_samples(facs: ChunkAcs, n: int, seed: int) -> list:
-    return facs.sample_elements(n, seed)
-
-
 def adjunction_payload(report: AxiomReport, model: IeutxoModel, inst: AcsInstance) -> dict:
     """Report payload: the law table plus the choices the checks depend on."""
     return {
@@ -422,24 +403,20 @@ class NotIutxo(Exception):
 
 
 def iutxo_embedding_check(model: IeutxoModel, seed: int = 0, samples: int = 60) -> AxiomReport:
-    """For point-local models: the inclusion into the full category preserves
-    chunk validity verbatim, and the loop through the abstract side and back
-    preserves composition behaviour."""
+    """For point-local models: the loop through the abstract side and back
+    preserves composition behaviour, and the round trip is isomorphic.
+
+    The inclusion into the full category is the identity on models, so that
+    it preserves chunk validity holds by construction and is not counted as
+    a check.
+    """
     if not is_iutxo_model(model):
         raise NotIutxo(model.name)
     rng = random.Random(seed)
     et = eta(model)
     results = []
 
-    verbatim = _Law("embedding_preserves_validity")
     txs = model.transactions
-    for _ in range(samples):
-        k = rng.randint(0, min(4, len(txs)))
-        lst = [txs[rng.randrange(len(txs))] for _ in range(k)]
-        # the embedded model is the model itself; validity is literally the same
-        verbatim.check(is_chunk(lst) == is_chunk(tuple(lst)))
-    results.append(verbatim.result())
-
     loop = _Law("loop_composition_preserved")
     for _ in range(samples):
         if not txs:

@@ -93,10 +93,19 @@ class Transaction:
 
     The empty transaction is representable so that raw lists containing it
     can be checked and rejected; models refuse to enumerate it.
+
+    The label is computed on first use and kept on the transaction: it is
+    part of the immutable value, not a cache keyed by input, and the chunk
+    labels and :class:`~chunkalg.scripts.AcsCompose` hashes of represented
+    models are built from it.  It is not computed in the constructor, since
+    most transactions (generated, parsed, renamed probes) are never
+    labelled.
     """
 
     inputs: tuple[Input, ...]
     outputs: tuple[Output, ...]
+    # Set by label() on first use.
+    _label = None
 
     def __init__(self, inputs: Iterable[Input] = (), outputs: Iterable[Output] = ()):
         object.__setattr__(
@@ -116,12 +125,16 @@ class Transaction:
         )
 
     def label(self) -> str:
-        ins = ",".join(f"({i.position},{value_label(i.key)})" for i in self.inputs)
-        outs = ",".join(
-            f"({o.position},{value_label(o.datum)},{script_label(o.validator)})"
-            for o in self.outputs
-        )
-        return f"tx[{ins}|{outs}]"
+        label = self._label
+        if label is None:
+            ins = ",".join(f"({i.position},{value_label(i.key)})" for i in self.inputs)
+            outs = ",".join(
+                f"({o.position},{value_label(o.datum)},{script_label(o.validator)})"
+                for o in self.outputs
+            )
+            label = f"tx[{ins}|{outs}]"
+            object.__setattr__(self, "_label", label)
+        return label
 
     def sort_key(self) -> str:
         return self.label()
@@ -335,11 +348,20 @@ def pairwise_chunk_oracle(txs: Sequence[Transaction]) -> bool:
 
 @dataclass(frozen=True)
 class Chunk:
-    """A transaction list satisfying the chunk conditions; validated on construction."""
+    """A transaction list satisfying the chunk conditions; validated on construction.
+
+    Like a transaction's, the label is computed on first use and kept on the
+    chunk (lazily, so the pools of chunks that are never labelled hold
+    none); a composition also carries its position index (see
+    :class:`_Index`).  Both are parts of the immutable value, not caches
+    keyed by input.
+    """
 
     txs: TxList
     # Set only by _trusted: the index of a composition (see _Index).
     _index = None
+    # Set by label() on first use.
+    _label = None
 
     def __post_init__(self):
         report = check_chunk(self.txs)
@@ -370,7 +392,11 @@ class Chunk:
         return Chunk(tuple(tx.rename(perm) for tx in self.txs))
 
     def label(self) -> str:
-        return "ch[" + ";".join(tx.label() for tx in self.txs) + "]"
+        label = self._label
+        if label is None:
+            label = "ch[" + ";".join(tx.label() for tx in self.txs) + "]"
+            object.__setattr__(self, "_label", label)
+        return label
 
 
 class _Fail:

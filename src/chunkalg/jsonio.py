@@ -16,6 +16,11 @@ Chunk file: either a bare JSON array of inline transactions, or::
 
 Keys and datums are JSON scalars.  Every dump is deterministic: sorted keys,
 fixed separators, atom sets sorted.
+
+An object-form file may omit ``schema_version`` (it is then read as version
+1); any other version is refused.  ``transactions``, ``probe_candidates``,
+``inputs`` and ``outputs`` must be arrays, and a chunk-file object must list
+its ``transactions``.  Every refusal is a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -164,16 +169,34 @@ def _scalar_out(value: Any) -> Any:
     return {"label": value_label(value)}
 
 
+def _array(obj: dict, key: str) -> list:
+    """``obj[key]``, which must be a JSON array; an empty one if absent."""
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{key} must be an array, got {type(value).__name__}")
+    return value
+
+
+def _check_version(obj: dict) -> None:
+    """Refuse an object-form file of another schema version; a file without
+    one is read as the current version."""
+    version = obj.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ParseError(
+            f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}"
+        )
+
+
 def tx_from_obj(obj: Any) -> Transaction:
     if not isinstance(obj, dict):
         raise ParseError(f"transaction must be an object, got {type(obj).__name__}")
     inputs = []
-    for item in obj.get("inputs", ()):
+    for item in _array(obj, "inputs"):
         if not isinstance(item, dict) or not isinstance(item.get("pos"), str) or not item["pos"]:
             raise ParseError(f"bad input: {item!r}")
         inputs.append(Input(item["pos"], _scalar(item.get("key"), "key")))
     outputs = []
-    for item in obj.get("outputs", ()):
+    for item in _array(obj, "outputs"):
         if not isinstance(item, dict) or not isinstance(item.get("pos"), str) or not item["pos"]:
             raise ParseError(f"bad output: {item!r}")
         outputs.append(
@@ -208,12 +231,13 @@ def model_from_obj(obj: Any) -> tuple[IeutxoModel, dict]:
     """Returns the model plus the name->transaction table for reference files."""
     if not isinstance(obj, dict):
         raise ParseError("model file must be a JSON object")
+    _check_version(obj)
     name = obj.get("name", "model")
     if not isinstance(name, str):
         raise ParseError("model name must be a string")
     named: dict = {}
     txs = []
-    for item in obj.get("transactions", ()):
+    for item in _array(obj, "transactions"):
         tx = tx_from_obj(item)
         txs.append(tx)
         if isinstance(item, dict) and isinstance(item.get("name"), str):
@@ -221,7 +245,7 @@ def model_from_obj(obj: Any) -> tuple[IeutxoModel, dict]:
     candidates = None
     if "probe_candidates" in obj:
         candidates = tuple(
-            _resolve_tx(item, named) for item in obj["probe_candidates"]
+            _resolve_tx(item, named) for item in _array(obj, "probe_candidates")
         )
     try:
         model = IeutxoModel(
@@ -255,6 +279,9 @@ def load_txlist(path: str) -> tuple[tuple[Transaction, ...], Optional[IeutxoMode
         return tuple(tx_from_obj(item) for item in obj), None
     if not isinstance(obj, dict):
         raise ParseError("chunk file must be an array or an object")
+    _check_version(obj)
+    if "transactions" not in obj:
+        raise ParseError("chunk file object lists no transactions")
     named: dict = {}
     model: Optional[IeutxoModel] = None
     if "model" in obj:
@@ -265,7 +292,7 @@ def load_txlist(path: str) -> tuple[tuple[Transaction, ...], Optional[IeutxoMode
             raise ParseError("model_file must be a path string")
         base = os.path.dirname(os.path.abspath(path))
         model, named = load_model(os.path.join(base, ref))
-    txs = tuple(_resolve_tx(item, named) for item in obj.get("transactions", ()))
+    txs = tuple(_resolve_tx(item, named) for item in _array(obj, "transactions"))
     return txs, model
 
 

@@ -17,6 +17,7 @@ spending transaction.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Union
 
@@ -168,10 +169,16 @@ class AcsCompose:
     carries one as its key, and validation succeeds exactly when their
     composition in the instance stays below the failure element.  The
     decision reads only the input-point's key, so the node is point-local.
+
+    The element is typically a whole chunk, so the hash, which reads its
+    label, is computed on first use and kept on the node: it is part of the
+    immutable value, like the label a chunk keeps.
     """
 
     element: Any
     inst: Any = field(compare=False, repr=False)
+    # Set by __hash__ on first use.
+    _hash = None
 
     def evaluate(self, datum, ptx) -> bool:
         other = ptx.point.key
@@ -188,7 +195,11 @@ class AcsCompose:
         return True
 
     def __hash__(self) -> int:
-        return hash(("acs_compose", value_label(self.element)))
+        h = self._hash
+        if h is None:
+            h = hash(("acs_compose", value_label(self.element)))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 Script = Union[
@@ -261,8 +272,57 @@ def _scalar_obj(value: Any) -> Any:
     return {"label": value_label(value)}
 
 
-def script_label(script: Script) -> str:
-    """Deterministic string form; sort key for outputs and canonicalization."""
-    import json
+# The encoder json.dumps(..., sort_keys=True, separators=(",", ":")) builds:
+# ASCII-only strings with the same escapes, NaN and the infinities as json
+# spells them.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-    return json.dumps(script_to_obj(script), sort_keys=True, separators=(",", ":"))
+
+def script_label(script: Script) -> str:
+    """Deterministic string form; sort key for outputs and canonicalization.
+
+    Equal to ``json.dumps(script_to_obj(script), sort_keys=True,
+    separators=(",", ":"))``, the wire format, but built from the node
+    structure without the intermediate dict.  Scripts keep no label: the
+    walk is cheap once the chunk an :class:`AcsCompose` carries keeps its
+    own, and a per-script copy would cost memory on every output.
+    """
+    if isinstance(script, AcsCompose):
+        return '{"element":' + _encode(value_label(script.element)) + ',"node":"acs_compose"}'
+    if isinstance(script, AcceptAll):
+        return '{"node":"accept_all"}'
+    if isinstance(script, RejectAll):
+        return '{"node":"reject_all"}'
+    if isinstance(script, KeyEquals):
+        return '{"key":' + _scalar_label(script.key) + ',"node":"key_equals"}'
+    if isinstance(script, DatumEquals):
+        return '{"datum":' + _scalar_label(script.datum) + ',"node":"datum_equals"}'
+    if isinstance(script, InputPositionIn):
+        positions = ",".join(map(_encode, sorted(script.positions)))
+        return '{"node":"input_position_in","positions":[' + positions + "]}"
+    if isinstance(script, SpendsAtMostNInputs):
+        return '{"limit":' + _scalar_label(script.limit) + ',"node":"spends_at_most_n_inputs"}'
+    if isinstance(script, Not):
+        return '{"body":' + script_label(script.body) + ',"node":"not"}'
+    if isinstance(script, (And, Or)):
+        node = "and" if isinstance(script, And) else "or"
+        return (
+            '{"left":' + script_label(script.left) + ',"node":"' + node
+            + '","right":' + script_label(script.right) + "}"
+        )
+    raise TypeError(f"not a script: {script!r}")
+
+
+def _scalar_label(value: Any) -> str:
+    """The JSON text of :func:`_scalar_obj` of ``value``, spelled as json.dumps
+    spells it; ints and the constants skip the encoder, which is slow on
+    anything but a string."""
+    if isinstance(value, str):
+        return _encode(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _encode(value)
+    return '{"label":' + _encode(value_label(value)) + "}"

@@ -73,6 +73,55 @@ def test_validate_boolean_limit_is_parse_error(tmp_path, capsys):
     assert "limit must be a nonnegative integer" in capsys.readouterr().err
 
 
+def _validate_parse_error(tmp_path, capsys, chunk_obj, model_obj=None):
+    """``validate`` on a chunk file (next to its model file, if given):
+    exit 2 and the parse error message, no traceback."""
+    if model_obj is not None:
+        (tmp_path / "model.json").write_text(json.dumps(model_obj))
+    path = tmp_path / "chunk.json"
+    path.write_text(json.dumps(chunk_obj))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+def test_validate_unsupported_schema_version(tmp_path, capsys):
+    for version in (2, "1", "banana", 1.0, True, None):
+        err = _validate_parse_error(tmp_path, capsys, {"schema_version": version, "transactions": []})
+        assert "parse error: unsupported schema_version" in err
+        err = _validate_parse_error(
+            tmp_path,
+            capsys,
+            {"schema_version": 1, "model_file": "model.json", "transactions": []},
+            {"schema_version": version, "name": "m", "transactions": []},
+        )
+        assert "parse error: unsupported schema_version" in err
+
+
+def test_validate_non_array_transactions_or_probes(tmp_path, capsys):
+    for key, value in (("probe_candidates", 5), ("transactions", {"t": 1}), ("transactions", "tx")):
+        err = _validate_parse_error(
+            tmp_path,
+            capsys,
+            {"model_file": "model.json", "transactions": []},
+            {"name": "m", "transactions": [], key: value},
+        )
+        assert f"parse error: {key} must be an array" in err
+    err = _validate_parse_error(tmp_path, capsys, {"transactions": "tx1"})
+    assert "parse error: transactions must be an array" in err
+
+
+def test_validate_chunk_object_without_transactions(tmp_path, capsys):
+    err = _validate_parse_error(tmp_path, capsys, {"schema_version": 1, "model_file": "model.json"},
+                                {"name": "m", "transactions": []})
+    assert "parse error: chunk file object lists no transactions" in err
+    # a versionless file that lists them stays accepted
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps({"model_file": "model.json", "transactions": []}))
+    assert main(["validate", str(path)]) == 0
+
+
 def test_ledger_blockchain(capsys):
     code, report = run_json(capsys, "ledger", fixture_path("backbone_full.json"))
     assert code == 0
