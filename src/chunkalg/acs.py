@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .atoms import Atom, Permutation, act, value_label
 from .ieutxo import (
@@ -403,6 +403,14 @@ class SubstAcs(AcsInstance):
 # Chunks of a model
 
 
+class CacheInfo(NamedTuple):
+    """Orientation-cache statistics, shaped like ``functools``' cache info."""
+
+    hits: int
+    misses: int
+    currsize: int
+
+
 class ChunkAcs(AcsInstance):
     """The chunks of a transaction model, with FAIL as the failure top.
 
@@ -420,6 +428,7 @@ class ChunkAcs(AcsInstance):
         self.bot = EMPTY_CHUNK
         self.top = FAIL
         self._orientation: dict = {}
+        self._hits = self._misses = 0
 
     def leq(self, x, y) -> bool:
         return chunk_leq(x, y)
@@ -446,7 +455,10 @@ class ChunkAcs(AcsInstance):
 
     def _split(self, x: Chunk) -> tuple[frozenset, frozenset, frozenset]:
         cached = self._orientation.get(x)
-        if cached is None:
+        if cached is not None:
+            self._hits += 1
+        else:
+            self._misses += 1
             unspent_in, unspent_out, spent = ledger_sets(x)
             dead_in = blocked_utxi(x, self.model)
             dead_out = blocked_utxo(x, self.model)
@@ -457,6 +469,11 @@ class ChunkAcs(AcsInstance):
             )
             self._orientation[x] = cached
         return cached
+
+    def cache_info(self) -> CacheInfo:
+        """Hits and misses of the orientation cache, which keeps each chunk's
+        left/right/up split, and the number of chunks it holds."""
+        return CacheInfo(self._hits, self._misses, len(self._orientation))
 
     def left(self, x) -> frozenset[Atom]:
         return frozenset() if x is FAIL else self._split(x)[0]

@@ -23,6 +23,13 @@ its own index; :class:`Chunk` built directly validates the whole list with
 composition with the absorbing :data:`FAIL` element turns the chunk set into
 a monoid with an explicit failure top.  A *blockchain* is a chunk with no
 unspent inputs.
+
+Blocked-channel analysis probes each unspent input or output with declared
+candidate transactions, renamed so that one slot lands on the queried
+position and every other position is fresh.  Freshness shrinks the seam to
+that one position, so each probe comes down to one validator call; the
+fresh atoms are minted once per call, since they need only avoid the
+chunk's positions and the candidate's own.
 """
 
 from __future__ import annotations
@@ -549,28 +556,34 @@ def sublists(txs: TxList) -> Iterator[TxList]:
 # Ledger sets
 
 
+def _ledger_index(value: Union[Chunk, Sequence[Transaction]]) -> _Index:
+    """The index the ledger reads use (see :func:`ledger_sets`)."""
+    return _index_of(value if isinstance(value, Chunk) else Chunk(value))
+
+
 def ledger_sets(
     value: Union[Chunk, Sequence[Transaction]],
 ) -> tuple[frozenset[Atom], frozenset[Atom], frozenset[Atom]]:
     """(unspent inputs, unspent outputs, spent channels); they partition pos.
 
     Read off the chunk's index; a transaction list is validated first and
-    raises :class:`NotAChunk` if it is not a chunk.
+    raises :class:`NotAChunk` if it is not a chunk.  :func:`utxi`,
+    :func:`utxo` and :func:`stx` each read their own set the same way.
     """
-    ix = _index_of(value if isinstance(value, Chunk) else Chunk(value))
+    ix = _ledger_index(value)
     return frozenset(ix.ins), frozenset(ix.outs), ix.stx
 
 
 def utxi(value: Union[Chunk, Sequence[Transaction]]) -> frozenset[Atom]:
-    return ledger_sets(value)[0]
+    return frozenset(_ledger_index(value).ins)
 
 
 def utxo(value: Union[Chunk, Sequence[Transaction]]) -> frozenset[Atom]:
-    return ledger_sets(value)[1]
+    return frozenset(_ledger_index(value).outs)
 
 
 def stx(value: Union[Chunk, Sequence[Transaction]]) -> frozenset[Atom]:
-    return ledger_sets(value)[2]
+    return _ledger_index(value).stx
 
 
 def is_blockchain(value: Union[Chunk, Sequence[Transaction]]) -> bool:
@@ -668,18 +681,6 @@ def is_iutxo_model(model: IeutxoModel) -> bool:
 # Blocked channels
 
 
-def _retarget(
-    cand: Transaction, slot: Atom, target: Atom, avoid: frozenset[Atom]
-) -> Transaction:
-    """Rename the candidate so ``slot`` lands on ``target`` and everything
-    else moves to fresh atoms outside ``avoid``."""
-    others = sorted(pos(cand) - {slot})
-    fresh = fresh_atoms(len(others), set(avoid) | pos(cand) | {target, slot})
-    mapping = dict(zip(others, fresh))
-    mapping[slot] = target
-    return cand.rename(Permutation.extending(mapping))
-
-
 def _probe_candidates(model: IeutxoModel) -> list[Transaction]:
     """The declared probe universe, less candidates that are not chunks on
     their own: renaming keeps a transaction's positions distinct, so no
@@ -689,52 +690,90 @@ def _probe_candidates(model: IeutxoModel) -> list[Transaction]:
     return [cand for cand in model.probe_candidates if is_chunk((cand,))]
 
 
+_ProbePlan = list[tuple[Transaction, Union[Input, Output], dict]]
+
+
+def _probe_plan(
+    model: IeutxoModel, avoid: frozenset[Atom], slots: Callable[[Transaction], tuple]
+) -> _ProbePlan:
+    """(candidate, slot, renaming of the candidate's other positions) for
+    each probe candidate and each of its ``slots`` (its inputs, outputs or
+    both), in candidate order and then slot position order.
+
+    Made once per call, not once per probe: the other positions go to
+    atoms minted outside ``avoid`` and the candidate's positions, and every
+    queried atom lies in ``avoid``, so the fresh atoms do not depend on the
+    queried atom or on the slot.
+    """
+    plan = []
+    for cand in _probe_candidates(model):
+        cpos = sorted(pos(cand))
+        fresh = fresh_atoms(len(cpos) - 1, avoid.union(cpos))
+        for slot in sorted(slots(cand), key=lambda s: s.position):
+            others = [p for p in cpos if p != slot.position]
+            plan.append((cand, slot, dict(zip(others, fresh))))
+    return plan
+
+
 def _renamed_probes(
-    model: IeutxoModel,
-    cands: list[Transaction],
-    a: Atom,
-    avoid: frozenset[Atom],
-    slots: Callable[[Transaction], frozenset[Atom]],
-) -> Iterator[Transaction]:
-    """Each candidate renamed so that one of its ``slots`` lands on ``a`` and
-    its other positions are fresh outside ``avoid``, where still admissible."""
-    for cand in cands:
-        for slot in sorted(slots(cand)):
-            probe = _retarget(cand, slot, a, avoid)
-            if model.is_admissible(probe):
-                yield probe
+    plan: _ProbePlan, a: Atom
+) -> Iterator[tuple[Transaction, Union[Input, Output], Permutation]]:
+    """Each planned (candidate, slot) with the permutation that lands the
+    slot on ``a`` and the other positions on their fresh atoms.
+
+    The permutation is the exact completion of that map, so scripts, keys
+    or datums that name a fresh atom or ``a`` are renamed consistently with
+    the positions.
+    """
+    for cand, slot, others in plan:
+        yield cand, slot, Permutation.extending({**others, slot.position: a})
 
 
 def _blocked(ch: Chunk, model: IeutxoModel, inputs: bool) -> frozenset[Atom]:
     """The unspent inputs (or outputs) of ``ch`` that no probe connects to.
 
-    A probe for an unspent input has a renamed candidate output there and
-    goes before ``ch``; one for an unspent output has a renamed candidate
-    input there and goes after.  ``ch``'s index is built once and each probe
-    is seam-checked against it.
+    A probe for an unspent input ``a`` is a candidate renamed so that one of
+    its outputs lands on ``a``, and goes before ``ch``; one for an unspent
+    output has one of its inputs there and goes after.  Its other positions
+    are fresh, outside ``ch``'s positions, so the probe meets ``ch`` at
+    ``a`` alone, and by locality the concatenation is a chunk exactly when
+    the output at ``a`` accepts the input at ``a``: one validator call, with
+    no index or seam check.  The whole renamed probe is built only where it
+    is read: as the spender's context at an unspent output, and for the
+    model's admissible predicate, which an unspent input's probe meets only
+    after its renamed output has accepted.
     """
-    cands = _probe_candidates(model)
     ix = _index_of(ch)
-    avoid = ix.positions()
+    slots = (lambda c: c.outputs) if inputs else (lambda c: c.inputs)
+    plan = _probe_plan(model, ix.positions(), slots)
 
-    def connects(probe: Transaction) -> bool:
-        ip = _build_index((probe,))
-        return (_seam(ip, ix) if inputs else _seam(ix, ip)) is not None
+    def connects(a: Atom) -> bool:
+        if inputs:
+            spender = PointedTransaction(*ix.ins[a])
+            return any(
+                validates(slot.rename(perm), spender)
+                and (model.admissible is None or model.is_admissible(cand.rename(perm)))
+                for cand, slot, perm in _renamed_probes(plan, a)
+            )
+        out = ix.outs[a]
+        return any(
+            model.is_admissible(probe := cand.rename(perm))
+            and validates(out, PointedTransaction(probe, slot.rename(perm)))
+            for cand, slot, perm in _renamed_probes(plan, a)
+        )
 
-    atoms, slots = (ix.ins, output_channels) if inputs else (ix.outs, input_channels)
-    return frozenset(
-        a
-        for a in atoms
-        if not any(map(connects, _renamed_probes(model, cands, a, avoid, slots)))
-    )
+    return frozenset(a for a in (ix.ins if inputs else ix.outs) if not connects(a))
 
 
 def blocked_utxi(ch: Chunk, model: IeutxoModel) -> frozenset[Atom]:
     """Unspent inputs that no candidate chunk can ever connect to.
 
     The quantification over all chunks of the model is approximated by the
-    declared probe universe closed under renaming of non-queried positions;
-    single-transaction probes suffice because validity is local.
+    declared probe universe closed under renaming of non-queried positions.
+    Single-transaction probes suffice because validity is local, and a
+    probe whose other positions are fresh meets the chunk at the queried
+    input alone, so each probe costs one validator call (see
+    :func:`_blocked`).
     """
     return _blocked(ch, model, inputs=True)
 
@@ -754,12 +793,13 @@ def renamed_probe_chunks(
     that can possibly connect there.  Candidates that are not chunks on
     their own, or stop being admissible under renaming, are skipped.
     """
-    cands = _probe_candidates(model)
     avoid = frozenset(atoms)
+    plan = _probe_plan(model, avoid, lambda c: c.inputs + c.outputs)
     return [
         Chunk._trusted((probe,))
         for a in sorted(avoid)
-        for probe in _renamed_probes(model, cands, a, avoid, pos)
+        for cand, _, perm in _renamed_probes(plan, a)
+        if model.is_admissible(probe := cand.rename(perm))
     ]
 
 

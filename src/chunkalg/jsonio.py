@@ -19,8 +19,9 @@ fixed separators, atom sets sorted.
 
 An object-form file may omit ``schema_version`` (it is then read as version
 1); any other version is refused.  ``transactions``, ``probe_candidates``,
-``inputs`` and ``outputs`` must be arrays, and a chunk-file object must list
-its ``transactions``.  Every refusal is a :class:`ParseError`.
+``inputs`` and ``outputs`` must be arrays, a chunk-file object must list
+its ``transactions``, and a transaction ``name`` must be a string, unique
+within its model.  Every refusal is a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -190,6 +191,8 @@ def _check_version(obj: dict) -> None:
 def tx_from_obj(obj: Any) -> Transaction:
     if not isinstance(obj, dict):
         raise ParseError(f"transaction must be an object, got {type(obj).__name__}")
+    if "name" in obj and not isinstance(obj["name"], str):
+        raise ParseError(f"transaction name must be a string: {obj['name']!r}")
     inputs = []
     for item in _array(obj, "inputs"):
         if not isinstance(item, dict) or not isinstance(item.get("pos"), str) or not item["pos"]:
@@ -240,7 +243,9 @@ def model_from_obj(obj: Any) -> tuple[IeutxoModel, dict]:
     for item in _array(obj, "transactions"):
         tx = tx_from_obj(item)
         txs.append(tx)
-        if isinstance(item, dict) and isinstance(item.get("name"), str):
+        if "name" in item:
+            if item["name"] in named:
+                raise ParseError(f"duplicate transaction name {item['name']!r}")
             named[item["name"]] = tx
     candidates = None
     if "probe_candidates" in obj:

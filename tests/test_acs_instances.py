@@ -141,6 +141,21 @@ def test_chunkacs_orientation_refines_ledger_sets(backbone_model, backbone):
     assert inst.left(FAIL) == frozenset()
 
 
+def test_chunkacs_cache_info_counts_orientation_lookups(backbone_model, backbone):
+    inst = ChunkAcs(backbone_model)
+    tx1, tx2, _, _ = backbone
+    x, y = Chunk((tx1,)), Chunk((tx1, tx2))
+    assert inst.cache_info() == (0, 0, 0)
+    inst.left(x)
+    assert inst.cache_info() == (0, 1, 1)
+    inst.right(x), inst.up(x), inst.posi(x), inst.left(FAIL)
+    assert inst.cache_info() == (2, 1, 1)
+    inst.up(y), inst.left(Chunk((tx1,)))
+    info = inst.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 2, 2)
+    assert info == (3, 2, len(inst._orientation))
+
+
 def test_chunkacs_enumeration(backbone_model):
     inst = ChunkAcs(backbone_model)
     elems = inst.enumerate_elements()

@@ -3,7 +3,7 @@
 import json
 
 from chunkalg.cli import main
-from chunkalg.jsonio import MAX_SCRIPT_DEPTH
+from chunkalg.jsonio import MAX_SCRIPT_DEPTH, dumps
 
 from conftest import fixture_path
 
@@ -122,6 +122,29 @@ def test_validate_chunk_object_without_transactions(tmp_path, capsys):
     assert main(["validate", str(path)]) == 0
 
 
+def test_validate_duplicate_transaction_names(tmp_path, capsys):
+    """Two transactions named alike would leave a reference ambiguous."""
+    tx = {"inputs": [], "outputs": [{"pos": "a", "datum": 0}]}
+    other = {"inputs": [], "outputs": [{"pos": "b", "datum": 0}]}
+    err = _validate_parse_error(
+        tmp_path,
+        capsys,
+        {"model_file": "model.json", "transactions": ["t"]},
+        {"name": "m", "transactions": [{**tx, "name": "t"}, {**other, "name": "t"}],
+         "probe_candidates": ["t"]},
+    )
+    assert "parse error: duplicate transaction name 't'" in err
+
+
+def test_validate_non_string_transaction_name(tmp_path, capsys):
+    tx = {"name": 7, "inputs": [], "outputs": [{"pos": "a", "datum": 0}]}
+    err = _validate_parse_error(
+        tmp_path, capsys, {"model_file": "model.json", "transactions": []},
+        {"name": "m", "transactions": [tx]},
+    )
+    assert "parse error: transaction name must be a string: 7" in err
+
+
 def test_ledger_blockchain(capsys):
     code, report = run_json(capsys, "ledger", fixture_path("backbone_full.json"))
     assert code == 0
@@ -139,6 +162,36 @@ def test_ledger_blocked_sets(capsys):
     code, report = run_json(capsys, "ledger", fixture_path("blocked_chunk.json"))
     assert code == 0
     assert report["payload"]["blocked_utxo"] == ["m"]
+
+
+def test_ledger_json_with_probe_universe(capsys, tmp_path):
+    """The whole ledger report, blocked sets included, on both probe sides."""
+    dead_in = {"inputs": [{"pos": "r", "key": "bad"}], "outputs": [{"pos": "s", "datum": 0}]}
+    probe = {"inputs": [], "outputs": [{"pos": "u", "datum": 0,
+                                         "validator": {"node": "key_equals", "key": "good"}}]}
+    (tmp_path / "model.json").write_text(json.dumps(
+        {"name": "m", "transactions": [{**dead_in, "name": "t"}], "probe_candidates": [probe]}))
+    (tmp_path / "chunk.json").write_text(json.dumps({"model_file": "model.json", "transactions": ["t"]}))
+    backbone = ["--probe-file", fixture_path("backbone_model.json")]
+    cases = [
+        ([fixture_path("blocked_chunk.json")],
+         {"blocked_utxi": [], "blocked_utxo": ["m"], "is_blockchain": True, "pos": ["m", "n"],
+          "stx": [], "utxi": [], "utxo": ["m", "n"]}),
+        ([fixture_path("backbone_full.json")] + backbone,
+         {"blocked_utxi": [], "blocked_utxo": [], "is_blockchain": True,
+          "pos": list("abcdefghijk"), "stx": list("abdef"), "utxi": [], "utxo": list("cghijk")}),
+        ([fixture_path("backbone_34.json")] + backbone,
+         {"blocked_utxi": [], "blocked_utxo": [], "is_blockchain": False,
+          "pos": list("adefghijk"), "stx": ["e", "f"], "utxi": ["a", "d"], "utxo": list("ghijk")}),
+        ([str(tmp_path / "chunk.json")],
+         {"blocked_utxi": ["r"], "blocked_utxo": ["s"], "is_blockchain": False, "pos": ["r", "s"],
+          "stx": [], "utxi": ["r"], "utxo": ["s"]}),
+    ]
+    for argv, payload in cases:
+        code, out = run(capsys, "ledger", *argv, "--json")
+        assert code == 0
+        assert out == dumps({"command": "ledger", "payload": payload, "schema_version": 1,
+                             "status": "ok"}) + "\n"
 
 
 def test_commute_disjoint(capsys):

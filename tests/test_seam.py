@@ -1,18 +1,20 @@
 """Seam composition against the from-scratch references.
 
 ``compose`` checks only the seam between two chunks, reading an index of the
-left one, and the blocked-channel analysis seam-checks each renamed probe.
-Both are compared here with ``check_chunk`` and ``pairwise_chunk_oracle`` on
-the concatenation, with each seam violation kind forced, and with the
-probe path that composed every probe as a checked singleton chunk.
+left one, and the blocked-channel analysis asks one validator per renamed
+probe.  Both are compared here with ``check_chunk`` and
+``pairwise_chunk_oracle`` on the concatenation, with each seam violation kind
+forced, and with the probe path that renamed every probe with a frozen copy
+of the old ``_retarget`` and checked the whole concatenation.
 """
 
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from chunkalg.atoms import Atom, Permutation, fresh_atoms
 from chunkalg.generators import GenConfig, gen_model, gen_valid_chunk, stream
 from chunkalg.ieutxo import (
     BACKWARD_OR_SELF_POINTER,
@@ -22,10 +24,10 @@ from chunkalg.ieutxo import (
     FAIL,
     VALIDATION_FAILED,
     Chunk,
+    IeutxoModel,
     Input,
     Output,
     Transaction,
-    _retarget,
     blocked_utxi,
     blocked_utxo,
     check_chunk,
@@ -37,8 +39,19 @@ from chunkalg.ieutxo import (
     output_channels,
     pairwise_chunk_oracle,
     pos,
+    renamed_probe_chunks,
 )
-from chunkalg.scripts import AcceptAll, RejectAll
+from chunkalg.scripts import (
+    AcceptAll,
+    And,
+    DatumEquals,
+    InputPositionIn,
+    KeyEquals,
+    Not,
+    Or,
+    RejectAll,
+    SpendsAtMostNInputs,
+)
 
 
 def _ledger_reference(txs):
@@ -153,6 +166,21 @@ def test_forced_violations_on_spent_channels():
                 assert check_chunk(left.txs + right.txs).violation.kind == kind
 
 
+# Frozen copy of the per-probe renaming that blocked_utxi/blocked_utxo used
+# before they planned fresh atoms once per call; the references below keep it
+# so that they do not move with the library.
+def _retarget(
+    cand: Transaction, slot: Atom, target: Atom, avoid: frozenset[Atom]
+) -> Transaction:
+    """Rename the candidate so ``slot`` lands on ``target`` and everything
+    else moves to fresh atoms outside ``avoid``."""
+    others = sorted(pos(cand) - {slot})
+    fresh = fresh_atoms(len(others), set(avoid) | pos(cand) | {target, slot})
+    mapping = dict(zip(others, fresh))
+    mapping[slot] = target
+    return cand.rename(Permutation.extending(mapping))
+
+
 def _singleton_compose_blocked(ch, model, inputs):
     """Blocked channels the way they were found before the seam check:
     every renamed probe made a singleton chunk and composed with ``ch`` by
@@ -195,3 +223,91 @@ def test_empty_chunk_is_the_unit_for_indexed_chunks(pair_txs):
     ch = _indexed(Chunk(pair_txs))
     assert compose(ch, EMPTY_CHUNK) == ch == compose(EMPTY_CHUNK, ch)
     assert ledger_sets(compose(ch, EMPTY_CHUNK)) == ledger_sets(Chunk(pair_txs))
+
+
+# Atom pool of the probe differential: "z1"/"z2" are the first names
+# fresh_atoms mints, so chunks often hold them and fresh atoms must avoid them.
+PROBE_POOL = ("a", "b", "c", "z1", "z2")
+_atom_tuples = st.lists(st.sampled_from(PROBE_POOL), min_size=1, max_size=2).map(tuple)
+# Keys and datums: opaque strings and ints, or tuples whose strings are atoms
+# and are renamed with the transaction.
+_payloads = st.one_of(st.sampled_from(["k0", "k1"]), st.integers(0, 1), _atom_tuples)
+_leaves = st.one_of(
+    st.just(AcceptAll()),
+    st.just(RejectAll()),
+    st.builds(KeyEquals, _payloads),
+    st.builds(DatumEquals, _payloads),
+    st.builds(InputPositionIn, st.frozensets(st.sampled_from(PROBE_POOL), min_size=1, max_size=3)),
+    st.builds(SpendsAtMostNInputs, st.integers(0, 2)),
+)
+_scripts = st.recursive(
+    _leaves,
+    lambda s: st.one_of(st.builds(Not, s), st.builds(And, s, s), st.builds(Or, s, s)),
+    max_leaves=3,
+)
+
+
+@st.composite
+def _pool_txs(draw, distinct):
+    """A transaction over PROBE_POOL; with ``distinct`` its positions are
+    distinct, otherwise it may repeat a position or use none at all."""
+    positions = st.sampled_from(PROBE_POOL)
+    if distinct:
+        ps = draw(st.lists(positions, min_size=1, max_size=3, unique=True))
+        is_out = draw(st.lists(st.booleans(), min_size=len(ps), max_size=len(ps)))
+        ins = [p for p, o in zip(ps, is_out) if not o]
+        outs = [p for p, o in zip(ps, is_out) if o]
+    else:
+        ins = draw(st.lists(positions, max_size=2))
+        outs = draw(st.lists(positions, max_size=2))
+    return Transaction(
+        [Input(p, draw(_payloads)) for p in ins],
+        [Output(p, draw(_payloads), draw(_scripts)) for p in outs],
+    )
+
+
+@st.composite
+def probe_cases(draw):
+    """(probed chunk, model): a chunk grown from pool transactions that keep
+    it a chunk, and a probe universe of pool transactions, some of which are
+    not chunks on their own, under an admissible predicate that may refuse
+    the renamed probes holding one atom."""
+    ch = EMPTY_CHUNK
+    for tx in draw(st.lists(_pool_txs(True), min_size=1, max_size=4)):
+        grown = compose(ch, Chunk((tx,)))
+        ch = ch if grown is FAIL else grown
+    cands = draw(st.lists(st.one_of(_pool_txs(True), _pool_txs(False)), min_size=1, max_size=3))
+    banned = draw(st.one_of(st.none(), st.sampled_from(PROBE_POOL + ("z3", "z4"))))
+    admissible = None if banned is None else (lambda tx: banned not in pos(tx))
+    return Chunk(ch.txs), IeutxoModel("probes", (), admissible=admissible, probe_candidates=tuple(cands))
+
+
+def _renamed_probe_chunks_reference(atoms, model):
+    avoid = frozenset(atoms)
+    out = []
+    for a in sorted(avoid):
+        for cand in model.probe_candidates:
+            if not check_chunk((cand,)).ok:
+                continue
+            for slot in sorted(pos(cand)):
+                probe = _retarget(cand, slot, a, avoid)
+                if model.is_admissible(probe):
+                    out.append((probe,))
+    return out
+
+
+@given(probe_cases())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_probe_plan_matches_singleton_reference(case):
+    """One validator call per probe, with fresh atoms planned once per call,
+    against renaming each probe afresh and checking the whole concatenation:
+    atoms named in validators, keys and datums, validators that read the
+    whole spending transaction, queried atoms among the candidates'
+    positions, inadmissible probes and non-chunk candidates."""
+    ch, model = case
+    for probed in (ch, _indexed(ch)):
+        assert blocked_utxi(probed, model) == _singleton_compose_blocked(ch, model, True)
+        assert blocked_utxo(probed, model) == _singleton_compose_blocked(ch, model, False)
+    for atoms in (pos(ch), PROBE_POOL[:2]):
+        got = [c.txs for c in renamed_probe_chunks(atoms, model)]
+        assert got == _renamed_probe_chunks_reference(atoms, model)
