@@ -38,10 +38,6 @@ def fresh_atoms(n: int, avoid: Iterable[Atom], prefix: str = "z") -> list[Atom]:
     return out
 
 
-def fresh_atom(avoid: Iterable[Atom], prefix: str = "z") -> Atom:
-    return fresh_atoms(1, avoid, prefix)[0]
-
-
 class Permutation:
     """A bijection on atoms that is the identity outside a finite support."""
 
@@ -125,22 +121,6 @@ class Permutation:
 
 def swap(a: Atom, b: Atom) -> Permutation:
     return Permutation.swap(a, b)
-
-
-def compose_perm(p: Permutation, q: Permutation) -> Permutation:
-    return p.compose(q)
-
-
-def invert(p: Permutation) -> Permutation:
-    return p.invert()
-
-
-def apply(p: Permutation, a: Atom) -> Atom:
-    return p(a)
-
-
-def fixes(p: Permutation, a: Atom) -> bool:
-    return p.fixes(a)
 
 
 def act(perm: Permutation, value: Any) -> Any:

@@ -7,6 +7,12 @@ failure, the orientation axioms, and the factorisation laws.  Pair and
 triple laws run exhaustively when the sample is small enough and fall back
 to a seeded sample otherwise, so reports are deterministic for a fixed seed.
 
+A checker starts from an empty :class:`AxiomReport` and declares each law
+once, through :meth:`AxiomReport.law`, in report order; it checks the law
+through the :class:`LawResult` that call returns and returns the report.
+An optional law is declared only when it is reported, so a law left out
+is never checked.
+
 Well-foundedness of the order is checked as antisymmetry plus acyclicity of
 the strict order restricted to the sample; the property is not decidable
 abstractly.
@@ -22,6 +28,7 @@ unique factorisations the two readings coincide.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
@@ -33,10 +40,28 @@ from .ieutxo import is_sublist
 
 @dataclass
 class LawResult:
+    """One law of a report: how often it was checked and its first failures.
+
+    With an instance, a failure's witness is the list of labels of the
+    elements involved; without one, it is the single note passed along.
+    """
+
     law: str
-    ok: bool
-    checked: int
+    inst: Optional[AcsInstance] = field(default=None, repr=False, compare=False)
+    checked: int = 0
     witnesses: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.witnesses
+
+    def check(self, ok: bool, *involved: Any) -> None:
+        self.checked += 1
+        if not ok and len(self.witnesses) < MAX_WITNESSES:
+            if self.inst is None:
+                self.witnesses.append(involved[0])
+            else:
+                self.witnesses.append([self.inst.label(v) for v in involved])
 
     def to_obj(self) -> dict:
         return {
@@ -57,6 +82,12 @@ class AxiomReport:
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
 
+    def law(self, name: str, inst: Optional[AcsInstance] = None) -> LawResult:
+        """Declare a law; it is reported after the laws declared before it."""
+        law = LawResult(name, inst)
+        self.results.append(law)
+        return law
+
     def result(self, law: str) -> LawResult:
         for r in self.results:
             if r.law == law:
@@ -75,54 +106,14 @@ class AxiomReport:
 MAX_WITNESSES = 5
 
 
-class _Law:
-    """Counts the checks of one law and keeps its first failures.
-
-    With an instance, a failure's witness is the list of labels of the
-    elements involved; without one, it is the single note passed along.
-    """
-
-    def __init__(self, name: str, inst: Optional[AcsInstance] = None):
-        self.name = name
-        self.inst = inst
-        self.checked = 0
-        self.witnesses: list = []
-
-    def check(self, ok: bool, *involved: Any) -> None:
-        self.checked += 1
-        if not ok and len(self.witnesses) < MAX_WITNESSES:
-            if self.inst is None:
-                self.witnesses.append(involved[0])
-            else:
-                self.witnesses.append([self.inst.label(v) for v in involved])
-
-    def result(self) -> LawResult:
-        return LawResult(self.name, not self.witnesses, self.checked, self.witnesses)
-
-
-def _pairs(samples: Sequence, seed: int, cap: int) -> Iterable[tuple]:
+def _tuples(samples: Sequence, k: int, seed: int, cap: int) -> Iterable[tuple]:
+    """Every ``k``-tuple of the samples when there are at most ``cap`` of
+    them, otherwise ``cap`` seeded draws."""
     n = len(samples)
-    if n * n <= cap:
-        return ((x, y) for x in samples for y in samples)
+    if n**k <= cap:
+        return itertools.product(samples, repeat=k)
     rng = random.Random(seed)
-    return (
-        (samples[rng.randrange(n)], samples[rng.randrange(n)]) for _ in range(cap)
-    )
-
-
-def _triples(samples: Sequence, seed: int, cap: int) -> Iterable[tuple]:
-    n = len(samples)
-    if n**3 <= cap:
-        return ((x, y, z) for x in samples for y in samples for z in samples)
-    rng = random.Random(seed)
-    return (
-        (
-            samples[rng.randrange(n)],
-            samples[rng.randrange(n)],
-            samples[rng.randrange(n)],
-        )
-        for _ in range(cap)
-    )
+    return (tuple(samples[rng.randrange(n)] for _ in range(k)) for _ in range(cap))
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +131,16 @@ def monoid_axiom_check(
     """Unit, absorption, order, associativity, monotonicity, increase, locality."""
     samples = list(samples)
     leq, mc, top, bot = inst.leq, inst.mcompose, inst.top, inst.bot
-    unit = _Law("unit", inst)
-    absorb = _Law("top_absorbing", inst)
-    order = _Law("partial_order", inst)
-    bounds = _Law("bot_bottom_top_top", inst)
-    wf = _Law("well_founded_sample", inst)
-    assoc = _Law("associative", inst)
-    mono = _Law("monotone", inst)
-    incr = _Law("increasing", inst)
-    local = _Law("locality_of_failure", inst)
+    report = AxiomReport(inst.name, "monoid")
+    unit = report.law("unit", inst)
+    absorb = report.law("top_absorbing", inst)
+    order = report.law("partial_order", inst)
+    bounds = report.law("bot_bottom_top_top", inst)
+    wf = report.law("well_founded_sample", inst)
+    assoc = report.law("associative", inst)
+    mono = report.law("monotone", inst)
+    incr = report.law("increasing", inst)
+    local = report.law("locality_of_failure", inst)
 
     for x in samples:
         unit.check(mc(bot, x) == x and mc(x, bot) == x, x)
@@ -156,12 +148,12 @@ def monoid_axiom_check(
         order.check(leq(x, x), x)
         bounds.check(leq(bot, x) and leq(x, top), x)
 
-    for x, y in _pairs(samples, seed + 1, pair_cap):
+    for x, y in _tuples(samples, 2, seed + 1, pair_cap):
         order.check(not (leq(x, y) and leq(y, x)) or x == y, x, y)
         z = mc(x, y)
         incr.check(leq(x, z) and leq(y, z), x, y)
 
-    for x, y, z in _triples(samples, seed + 2, triple_cap):
+    for x, y, z in _tuples(samples, 3, seed + 2, triple_cap):
         assoc.check(mc(mc(x, y), z) == mc(x, mc(y, z)), x, y, z)
         if leq(x, y):
             order.check(not leq(y, z) or leq(x, z), x, y, z)
@@ -193,12 +185,7 @@ def monoid_axiom_check(
             local.check(some_pair, *xs)
         else:
             local.check(True)
-
-    return AxiomReport(
-        inst.name,
-        "monoid",
-        [r.result() for r in (unit, absorb, order, bounds, wf, assoc, mono, incr, local)],
-    )
+    return report
 
 
 def _acyclic(edges: set, n: int) -> bool:
@@ -243,17 +230,19 @@ def oriented_axiom_check(
     samples = list(samples)
     probes = list(probes) if probes is not None else samples
     mc = inst.mcompose
-    finite = _Law("posi_finite", inst)
-    empty_iff = _Law("posi_empty_iff_unit_or_top", inst)
-    partition = _Law("posi_partition", inst)
-    lr_disjoint = _Law("left_right_disjoint", inst)
-    clash = _Law("left_right_clash_fails", inst)
-    fresh_commute = _Law("fresh_commute", inst)
-    fresh_defined = _Law("fresh_defined", inst)
-    up_fail = _Law("up_clash_fails_both", inst)
-    make_link = _Law("shared_posi_within_right_left", inst)
-    one_fails = _Law("one_composition_fails_or_fresh", inst)
-    up_comp = _Law("up_of_composition_bounded", inst)
+    report = AxiomReport(inst.name, "oriented")
+    finite = report.law("posi_finite", inst)
+    empty_iff = report.law("posi_empty_iff_unit_or_top", inst)
+    partition = report.law("posi_partition", inst)
+    lr_disjoint = report.law("left_right_disjoint", inst)
+    clash = report.law("left_right_clash_fails", inst)
+    fresh_commute = report.law("fresh_commute", inst)
+    fresh_defined = report.law("fresh_defined", inst)
+    up_fail = report.law("up_clash_fails_both", inst)
+    make_link = report.law("shared_posi_within_right_left", inst)
+    one_fails = report.law("one_composition_fails_or_fresh", inst)
+    if include_up_composition:
+        up_comp = report.law("up_of_composition_bounded", inst)
 
     for x in samples:
         p = inst.posi(x)
@@ -266,7 +255,7 @@ def oriented_axiom_check(
         )
         lr_disjoint.check(not (left & right), x)
 
-    for x, y in _pairs(samples, seed + 1, pair_cap):
+    for x, y in _tuples(samples, 2, seed + 1, pair_cap):
         px, py = inst.posi(x), inst.posi(y)
         xy = mc(x, y)
         if inst.left(x) & inst.right(y):
@@ -292,25 +281,7 @@ def oriented_axiom_check(
                     x,
                     y,
                 )
-
-    results = [
-        r.result()
-        for r in (
-            finite,
-            empty_iff,
-            partition,
-            lr_disjoint,
-            clash,
-            fresh_commute,
-            fresh_defined,
-            up_fail,
-            make_link,
-            one_fails,
-        )
-    ]
-    if include_up_composition:
-        results.append(up_comp.result())
-    return AxiomReport(inst.name, "oriented", results)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +303,15 @@ def atomic_axiom_check(
     if strict is None:
         strict = inst.perfectly_atomic
     mc = inst.mcompose
-    recompose = _Law("factor_recomposes", inst)
-    atomic_parts = _Law("factor_parts_atomic", inst)
-    hom = _Law("factor_homomorphism", inst)
-    atomic_single = _Law("atomic_factor_is_singleton", inst)
-    unique = _Law("factorisation_unique", inst)
-    sub = _Law("factor_respects_order", inst)
-    hom_literal = _Law("factor_homomorphism_literal", inst)
+    report = AxiomReport(inst.name, "atomic")
+    recompose = report.law("factor_recomposes", inst)
+    atomic_parts = report.law("factor_parts_atomic", inst)
+    hom = report.law("factor_homomorphism", inst)
+    atomic_single = report.law("atomic_factor_is_singleton", inst)
+    if strict:
+        hom_literal = report.law("factor_homomorphism_literal", inst)
+        unique = report.law("factorisation_unique", inst)
+        sub = report.law("factor_respects_order", inst)
 
     def product(parts: Sequence) -> Any:
         out = inst.bot
@@ -358,12 +331,12 @@ def atomic_axiom_check(
             # factorisation
             ok = all(
                 product(reordered) != x
-                for reordered in _permutations_capped(parts, 121)
+                for reordered in itertools.islice(itertools.permutations(parts), 121)
                 if list(reordered) != parts
             )
             unique.check(ok, x)
 
-    for x, y in _pairs(non_top, seed + 1, pair_cap):
+    for x, y in _tuples(non_top, 2, seed + 1, pair_cap):
         xy = mc(x, y)
         if inst.is_top(xy):
             continue
@@ -371,19 +344,9 @@ def atomic_axiom_check(
         hom.check(product(cat) == xy, x, y)
         if strict:
             hom_literal.check(inst.factor(xy) == cat, x, y)
-        if inst.leq(x, y):
-            sub.check(is_sublist(inst.factor(x), inst.factor(y)), x, y)
-
-    results = [recompose, atomic_parts, hom, atomic_single]
-    if strict:
-        results.extend([hom_literal, unique, sub])
-    return AxiomReport(inst.name, "atomic", [r.result() for r in results])
-
-
-def _permutations_capped(items: Sequence, cap: int):
-    import itertools
-
-    return itertools.islice(itertools.permutations(items), cap)
+            if inst.leq(x, y):
+                sub.check(is_sublist(inst.factor(x), inst.factor(y)), x, y)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +364,9 @@ def partial_converse_check(
     disjoint interfaces ⇔ both orders defined ⇔ commuting up to observation."""
     samples = list(samples)
     probes = list(probes) if probes is not None else samples
-    law = _Law("freshness_three_way_equivalence", inst)
-    for x, y in _pairs(samples, seed, pair_cap):
+    report = AxiomReport(inst.name, "partial_converse")
+    law = report.law("freshness_three_way_equivalence", inst)
+    for x, y in _tuples(samples, 2, seed, pair_cap):
         xy, yx = inst.mcompose(x, y), inst.mcompose(y, x)
         if inst.is_top(xy) and inst.is_top(yx):
             continue
@@ -410,7 +374,7 @@ def partial_converse_check(
         both = not inst.is_top(xy) and not inst.is_top(yx)
         commute = commute_probe(x, y, probes, inst)
         law.check(disjoint == both == commute, x, y)
-    return AxiomReport(inst.name, "partial_converse", [law.result()])
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +419,9 @@ def validate_posi_oracle(
     """
     samples = [x for x in samples if not inst.is_top(x) and not inst.is_bot(x)]
     rng = random.Random(seed)
-    clash = _Law("posi_atoms_defeat_composition", inst)
-    fresh_ok = _Law("non_posi_atoms_allow_composition", inst)
+    report = AxiomReport(inst.name, "posi_oracle")
+    clash = report.law("posi_atoms_defeat_composition", inst)
+    fresh_ok = report.law("non_posi_atoms_allow_composition", inst)
     for x in samples:
         interface = sorted(inst.posi(x))
         if not interface:
@@ -478,7 +443,7 @@ def validate_posi_oracle(
                 perm.fixes(b) and not inst.is_top(inst.mcompose(x, moved)),
                 x,
             )
-    return AxiomReport(inst.name, "posi_oracle", [clash.result(), fresh_ok.result()])
+    return report
 
 
 def _random_perm_fixing(
@@ -505,12 +470,13 @@ def acs_arrow_check(
     arrow: AcsArrow, samples: Sequence, seed: int = 0, pair_cap: int = 20_000
 ) -> AxiomReport:
     src, tgt = arrow.source, arrow.target
-    fixed = _Law("fixes_bot_and_top", src)
-    strict_below = _Law("strictly_below_top_preserved", src)
-    hom = _Law("monoid_homomorphism", src)
+    report = AxiomReport(f"{src.name}->{tgt.name}", "acs_arrow")
+    fixed = report.law("fixes_bot_and_top", src)
+    strict_below = report.law("strictly_below_top_preserved", src)
+    hom = report.law("monoid_homomorphism", src)
     fixed.check(arrow(src.bot) == tgt.bot and arrow(src.top) == tgt.top)
     samples = list(samples)
-    for x, y in _pairs(samples, seed, pair_cap):
+    for x, y in _tuples(samples, 2, seed, pair_cap):
         if src.leq(x, y) and not src.is_top(y):
             strict_below.check(
                 tgt.leq(arrow(x), arrow(y)) and not tgt.is_top(arrow(y)), x, y
@@ -518,8 +484,4 @@ def acs_arrow_check(
         hom.check(
             tgt.mcompose(arrow(x), arrow(y)) == arrow(src.mcompose(x, y)), x, y
         )
-    return AxiomReport(
-        f"{src.name}->{tgt.name}",
-        "acs_arrow",
-        [fixed.result(), strict_below.result(), hom.result()],
-    )
+    return report

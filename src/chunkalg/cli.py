@@ -28,11 +28,11 @@ from .generators import GenConfig, gen_cr_triple, gen_model, stream
 from .ieutxo import (
     FAIL,
     Chunk,
+    ChunkReport,
     MissingProbeUniverse,
     NotAChunk,
     blocked_utxi,
     blocked_utxo,
-    check_chunk,
     check_church_rosser,
     compose,
     ledger_sets,
@@ -82,13 +82,21 @@ def _emit(args: argparse.Namespace, report: dict, human: list[str]) -> None:
 # Commands
 
 
+def _as_chunk(txs: tuple) -> tuple[Optional[Chunk], ChunkReport]:
+    """The chunk of ``txs`` and its check, or None and the first violation."""
+    try:
+        return Chunk(txs), ChunkReport(True)
+    except NotAChunk as exc:
+        return None, exc.report
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     txs, _model = load_txlist(args.file)
-    report = check_chunk(txs)
+    chunk, report = _as_chunk(txs)
     payload: dict = {"transactions": len(txs), "check": report.to_obj()}
     status = "ok" if report.ok else "violations"
     if report.ok:
-        unspent_in, unspent_out, spent = ledger_sets(txs)
+        unspent_in, unspent_out, spent = ledger_sets(chunk)
         payload["utxi"] = sorted(unspent_in)
         payload["utxo"] = sorted(unspent_out)
         payload["stx"] = sorted(spent)
@@ -106,16 +114,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_ledger(args: argparse.Namespace) -> int:
     txs, model = load_txlist(args.file)
-    report = check_chunk(txs)
+    chunk, report = _as_chunk(txs)
     if not report.ok:
-        payload = {"check": report.to_obj()}
-        _emit(
-            args,
-            _report("ledger", "violations", payload),
-            [f"not a chunk: {report.violation}"],
-        )
+        human = [f"not a chunk: {report.violation}"]
+        _emit(args, _report("ledger", "violations", {"check": report.to_obj()}), human)
         return EXIT_VIOLATIONS
-    chunk = Chunk(txs)
     unspent_in, unspent_out, spent = ledger_sets(chunk)
     payload = {
         "utxi": sorted(unspent_in),
@@ -144,10 +147,8 @@ def cmd_ledger(args: argparse.Namespace) -> int:
 
 
 def cmd_commute(args: argparse.Namespace) -> int:
-    txs_a, _ = load_txlist(args.file_a)
-    txs_b, _ = load_txlist(args.file_b)
-    for label, txs in (("first", txs_a), ("second", txs_b)):
-        rep = check_chunk(txs)
+    (a, rep_a), (b, rep_b) = (_as_chunk(load_txlist(f)[0]) for f in (args.file_a, args.file_b))
+    for label, rep in (("first", rep_a), ("second", rep_b)):
         if not rep.ok:
             _emit(
                 args,
@@ -155,7 +156,6 @@ def cmd_commute(args: argparse.Namespace) -> int:
                 [f"{label} file is not a chunk: {rep.violation}"],
             )
             return EXIT_VIOLATIONS
-    a, b = Chunk(txs_a), Chunk(txs_b)
     ab, ba = compose(a, b), compose(b, a)
     disjoint = not (pos(a) & pos(b))
     both = ab is not FAIL and ba is not FAIL
@@ -258,11 +258,9 @@ def cmd_adjunction(args: argparse.Namespace) -> int:
 def cmd_church_rosser(args: argparse.Namespace) -> int:
     seed = _seed_from(args)
     if args.files:
-        y_txs, _ = load_txlist(args.files[0])
-        x_txs, _ = load_txlist(args.files[1])
-        x2_txs, _ = load_txlist(args.files[2])
+        lists = [load_txlist(path)[0] for path in args.files]
         try:
-            triples = [(Chunk(y_txs), Chunk(x_txs), Chunk(x2_txs))]
+            triples = [tuple(map(Chunk, lists))]
         except NotAChunk as exc:
             _emit(
                 args,

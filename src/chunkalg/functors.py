@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from .acs import AcsArrow, AcsInstance, ChunkAcs, identity_acs_arrow
-from .axioms import AxiomReport, LawResult, _Law
+from .axioms import AxiomReport
 from .ieutxo import (
     FAIL,
     Chunk,
@@ -237,13 +237,13 @@ def check_adjunction(
     instance's own ``factor``; reports carry the materialization boundary.
     """
     rng = random.Random(seed)
-    results: list[LawResult] = []
+    report = AxiomReport(f"{model.name}|{inst.name}", "adjunction")
 
     # ---- model side -------------------------------------------------
     et = eta(model)
     gf_model = et.gmodel.model
 
-    bij = _Law("eta_bijective_on_chunks")
+    bij = report.law("eta_bijective_on_chunks")
     chunks_src = list(enumerate_chunks(model))
     chunks_tgt = {c.txs for c in enumerate_chunks(gf_model)}
     images = [et.on_chunk(c) for c in chunks_src]
@@ -252,9 +252,8 @@ def check_adjunction(
         {im.txs for im in images} == chunks_tgt,
         "unit image differs from round-trip chunk set",
     )
-    results.append(bij.result())
 
-    pres = _Law("eta_preserves_reflects_chunkhood")
+    pres = report.law("eta_preserves_reflects_chunkhood")
     txs = model.transactions
     for _ in range(samples):
         k = rng.randint(0, min(4, len(txs)))
@@ -263,13 +262,11 @@ def check_adjunction(
             is_chunk(lst) == is_chunk(et.on_list(lst)),
             "chunkhood not preserved/reflected",
         )
-    results.append(pres.result())
 
-    pure = _Law("round_trip_model_point_local")
+    pure = report.law("round_trip_model_point_local")
     pure.check(is_iutxo_model(gf_model), "round-trip model has non-local validators")
-    results.append(pure.result())
 
-    tri_f = _Law("triangle_counit_after_unit_image")
+    tri_f = report.law("triangle_counit_after_unit_image")
     eps_ft = epsilon(et.facs, et.gmodel)
     feta = f_arrow(et.as_arrow())
     for x in et.facs.sample_elements(samples, seed + 1):
@@ -277,9 +274,8 @@ def check_adjunction(
             eps_ft.on_element(feta(x)) == x,
             f"triangle fails at {et.facs.label(x)}",
         )
-    results.append(tri_f.result())
 
-    nat = _Law("eta_natural")
+    nat = report.law("eta_natural")
     arrows = list(model_arrows) if model_arrows is not None else []
     if not arrows:
         arrows = [identity_arrow(model)]
@@ -292,20 +288,18 @@ def check_adjunction(
             tx: arrow_apply(gff, et_src.on_tx(tx)) for tx in f.source.transactions
         }
         nat.check(lhs == rhs, "unit naturality square does not commute")
-    results.append(nat.result())
 
     # ---- instance side ----------------------------------------------
     gm = g_object(inst)
     eps = epsilon(inst, gm)
 
-    surj = _Law("epsilon_surjective")
+    surj = report.law("epsilon_surjective")
     elements = inst.sample_elements(samples, seed + 2)
     for x in elements:
         w = eps.surjectivity_witness(x)
         surj.check(eps.on_element(w) == x, f"no witness for {inst.label(x)}")
-    results.append(surj.result())
 
-    hom = _Law("epsilon_monoid_map")
+    hom = report.law("epsilon_monoid_map")
     fg = ChunkAcs(gm.model)
     fg_elems = fg.sample_elements(samples, seed + 3)
     for _ in range(samples):
@@ -316,9 +310,8 @@ def check_adjunction(
             == inst.mcompose(eps.on_element(u), eps.on_element(v)),
             "counit is not a monoid map",
         )
-    results.append(hom.result())
 
-    pair = _Law("represented_pair_composition")
+    pair = report.law("represented_pair_composition")
     atoms = gm.atomics
     for _ in range(samples):
         if not atoms:
@@ -331,9 +324,8 @@ def check_adjunction(
             lhs_ok == rhs_ok,
             f"pair law fails at {inst.label(x)}, {inst.label(y)}",
         )
-    results.append(pair.result())
 
-    eps_nat = _Law("epsilon_natural")
+    eps_nat = report.law("epsilon_natural")
     g_arrows = list(acs_arrows) if acs_arrows is not None else []
     if not g_arrows:
         g_arrows = [identity_acs_arrow(inst)]
@@ -352,9 +344,8 @@ def check_adjunction(
                 eps_tgt.on_element(fgg(a)) == g(eps_src.on_element(a)),
                 "counit naturality square does not commute",
             )
-    results.append(eps_nat.result())
 
-    tri_g = _Law("triangle_unit_after_represented_counit")
+    tri_g = report.law("triangle_unit_after_represented_counit")
     try:
         et_g = eta(gm.model)
         geps = g_arrow(eps.as_acs_arrow(), et_g.gmodel, gm)
@@ -365,10 +356,9 @@ def check_adjunction(
         )
     except ModelError as exc:
         tri_g.check(False, f"materialization failure: {exc}")
-    results.append(tri_g.result())
 
     if strict:
-        bij_eps = _Law("epsilon_bijective_strict")
+        bij_eps = report.law("epsilon_bijective_strict")
         fg_all = fg.enumerate_elements()
         mapped = [eps.on_element(x) for x in fg_all]
         bij_eps.check(
@@ -378,9 +368,7 @@ def check_adjunction(
         bij_eps.check(
             inst.perfectly_atomic, "strict mode on a non-perfectly-atomic instance"
         )
-        results.append(bij_eps.result())
 
-    report = AxiomReport(f"{model.name}|{inst.name}", "adjunction", results)
     return report
 
 
@@ -414,10 +402,10 @@ def iutxo_embedding_check(model: IeutxoModel, seed: int = 0, samples: int = 60) 
         raise NotIutxo(model.name)
     rng = random.Random(seed)
     et = eta(model)
-    results = []
+    report = AxiomReport(model.name, "iutxo_embedding")
 
     txs = model.transactions
-    loop = _Law("loop_composition_preserved")
+    loop = report.law("loop_composition_preserved")
     for _ in range(samples):
         if not txs:
             break
@@ -427,14 +415,12 @@ def iutxo_embedding_check(model: IeutxoModel, seed: int = 0, samples: int = 60) 
             is_chunk((s, t)) == is_chunk(et.on_list((s, t))),
             "loop image composes differently",
         )
-    results.append(loop.result())
 
-    iso = _Law("round_trip_isomorphic")
+    iso = report.law("round_trip_isomorphic")
     chunks_src = {c.txs for c in enumerate_chunks(model)}
     chunks_img = {et.on_chunk(Chunk(c)).txs for c in chunks_src}
     chunks_tgt = {c.txs for c in enumerate_chunks(et.gmodel.model)}
     iso.check(chunks_img == chunks_tgt, "round-trip chunk sets differ")
     iso.check(is_iutxo_model(et.gmodel.model), "round-trip not point-local")
-    results.append(iso.result())
 
-    return AxiomReport(model.name, "iutxo_embedding", results)
+    return report

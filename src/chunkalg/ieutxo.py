@@ -143,9 +143,6 @@ class Transaction:
             object.__setattr__(self, "_label", label)
         return label
 
-    def sort_key(self) -> str:
-        return self.label()
-
 
 @dataclass(frozen=True)
 class PointedTransaction:
@@ -874,9 +871,6 @@ class IeutxoArrow:
             return self.table[tx]
         except KeyError:
             raise NotAnArrow(f"transaction not in arrow table: {tx.label()}") from None
-
-    def table_items(self) -> list[tuple[Transaction, Chunk]]:
-        return sorted(self.table.items(), key=lambda kv: kv[0].sort_key())
 
 
 def identity_arrow(model: IeutxoModel) -> IeutxoArrow:

@@ -28,12 +28,10 @@ from __future__ import annotations
 
 import json
 import os
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
+from .atoms import Permutation
 from .ieutxo import IeutxoModel, Input, Output, Transaction
-
-if TYPE_CHECKING:
-    from .atoms import Permutation
 from .scripts import (
     AcceptAll,
     And,
@@ -45,6 +43,7 @@ from .scripts import (
     RejectAll,
     Script,
     SpendsAtMostNInputs,
+    _scalar_obj,
     script_to_obj,
 )
 
@@ -62,21 +61,15 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def dumps_pretty(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
-
-
 # ---------------------------------------------------------------------------
 # Permutations
 
 
-def perm_to_obj(perm: "Permutation") -> dict:
+def perm_to_obj(perm: Permutation) -> dict:
     return {a: b for a, b in perm.graph()}
 
 
-def perm_from_obj(obj: Any) -> "Permutation":
-    from .atoms import Permutation
-
+def perm_from_obj(obj: Any) -> Permutation:
     if not isinstance(obj, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in obj.items()
     ):
@@ -147,11 +140,11 @@ def _scalar(value: Any, what: str) -> Any:
 
 def tx_to_obj(tx: Transaction, name: Optional[str] = None) -> dict:
     obj: dict = {
-        "inputs": [{"pos": i.position, "key": _scalar_out(i.key)} for i in tx.inputs],
+        "inputs": [{"pos": i.position, "key": _scalar_obj(i.key)} for i in tx.inputs],
         "outputs": [
             {
                 "pos": o.position,
-                "datum": _scalar_out(o.datum),
+                "datum": _scalar_obj(o.datum),
                 "validator": script_to_obj(o.validator),
             }
             for o in tx.outputs
@@ -160,14 +153,6 @@ def tx_to_obj(tx: Transaction, name: Optional[str] = None) -> dict:
     if name is not None:
         obj["name"] = name
     return obj
-
-
-def _scalar_out(value: Any) -> Any:
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    from .atoms import value_label
-
-    return {"label": value_label(value)}
 
 
 def _array(obj: dict, key: str) -> list:
@@ -302,11 +287,8 @@ def load_txlist(path: str) -> tuple[tuple[Transaction, ...], Optional[IeutxoMode
 
 
 def _read_json(path: str) -> Any:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError:
-        raise
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -5,11 +5,7 @@ from hypothesis import strategies as st
 from chunkalg.atoms import (
     Permutation,
     act,
-    apply,
-    compose_perm,
-    fixes,
     fresh_atoms,
-    invert,
     swap,
     value_label,
 )
@@ -26,17 +22,17 @@ atoms = st.sampled_from(ATOMS)
 
 def test_swap_basics():
     p = swap("a", "b")
-    assert apply(p, "a") == "b"
-    assert apply(p, "b") == "a"
-    assert apply(p, "c") == "c"
+    assert p("a") == "b"
+    assert p("b") == "a"
+    assert p("c") == "c"
     assert swap("a", "a") == Permutation.identity()
-    assert compose_perm(p, p) == Permutation.identity()
+    assert p.compose(p) == Permutation.identity()
 
 
 def test_fixes():
-    assert fixes(Permutation.identity(), "a")
-    assert not fixes(swap("a", "b"), "a")
-    assert fixes(swap("b", "c"), "a")
+    assert Permutation.identity().fixes("a")
+    assert not swap("a", "b").fixes("a")
+    assert swap("b", "c").fixes("a")
 
 
 def test_rejects_non_bijections():
@@ -49,28 +45,28 @@ def test_rejects_non_bijections():
 @given(perms(), perms(), atoms)
 @settings(max_examples=60, deadline=None)
 def test_compose_is_function_composition(p, q, a):
-    assert apply(compose_perm(p, q), a) == apply(p, apply(q, a))
+    assert p.compose(q)(a) == p(q(a))
 
 
 @given(perms(), atoms)
 @settings(max_examples=60, deadline=None)
 def test_invert_is_two_sided(p, a):
-    assert apply(compose_perm(p, invert(p)), a) == a
-    assert apply(compose_perm(invert(p), p), a) == a
+    assert p.compose(p.invert())(a) == a
+    assert p.invert().compose(p)(a) == a
 
 
 @given(perms(), perms(), perms())
 @settings(max_examples=40, deadline=None)
 def test_compose_associative(p, q, r):
-    assert compose_perm(compose_perm(p, q), r) == compose_perm(p, compose_perm(q, r))
+    assert p.compose(q).compose(r) == p.compose(q.compose(r))
 
 
 @given(perms())
 @settings(max_examples=40, deadline=None)
 def test_identity_neutral(p):
     e = Permutation.identity()
-    assert compose_perm(e, p) == p
-    assert compose_perm(p, e) == p
+    assert e.compose(p) == p
+    assert p.compose(e) == p
 
 
 def test_extending_completes_partial_injections():
@@ -124,4 +120,4 @@ def test_action_laws_on_every_overload():
     q = swap("b", "a")
     for v in values:
         assert act(e, v) == v
-        assert act(compose_perm(p, q), v) == act(p, act(q, v))
+        assert act(p.compose(q), v) == act(p, act(q, v))

@@ -161,3 +161,122 @@ def test_acs_arrow_checker(fs):
     bad = AcsArrow(fs, fs, lambda x: fs.top if fs.is_top(x) else fs.bot)
     report = acs_arrow_check(bad, carrier)
     assert not report.result("monoid_homomorphism").ok
+
+
+# ---------------------------------------------------------------------------
+# Law lists: each report names its laws in a fixed order
+
+MONOID_LAWS = [
+    "unit",
+    "top_absorbing",
+    "partial_order",
+    "bot_bottom_top_top",
+    "well_founded_sample",
+    "associative",
+    "monotone",
+    "increasing",
+    "locality_of_failure",
+]
+ORIENTED_LAWS = [
+    "posi_finite",
+    "posi_empty_iff_unit_or_top",
+    "posi_partition",
+    "left_right_disjoint",
+    "left_right_clash_fails",
+    "fresh_commute",
+    "fresh_defined",
+    "up_clash_fails_both",
+    "shared_posi_within_right_left",
+    "one_composition_fails_or_fresh",
+]
+ATOMIC_LAWS = [
+    "factor_recomposes",
+    "factor_parts_atomic",
+    "factor_homomorphism",
+    "atomic_factor_is_singleton",
+]
+ATOMIC_STRICT_LAWS = [
+    "factor_homomorphism_literal",
+    "factorisation_unique",
+    "factor_respects_order",
+]
+ADJUNCTION_LAWS = [
+    "eta_bijective_on_chunks",
+    "eta_preserves_reflects_chunkhood",
+    "round_trip_model_point_local",
+    "triangle_counit_after_unit_image",
+    "eta_natural",
+    "epsilon_surjective",
+    "epsilon_monoid_map",
+    "represented_pair_composition",
+    "epsilon_natural",
+    "triangle_unit_after_represented_counit",
+]
+
+
+def _laws(report):
+    return [r.law for r in report.results]
+
+
+def test_axiom_law_lists_in_order(fs):
+    carrier = fs.enumerate_carrier()
+    assert _laws(monoid_axiom_check(fs, carrier)) == MONOID_LAWS
+    assert _laws(oriented_axiom_check(fs, carrier)) == ORIENTED_LAWS
+    assert _laws(oriented_axiom_check(fs, carrier, include_up_composition=True)) == (
+        ORIENTED_LAWS + ["up_of_composition_bounded"]
+    )
+    assert _laws(atomic_axiom_check(fs, carrier, strict=False)) == ATOMIC_LAWS
+    assert _laws(atomic_axiom_check(fs, carrier, strict=True)) == (
+        ATOMIC_LAWS + ATOMIC_STRICT_LAWS
+    )
+    assert _laws(partial_converse_check(fs, carrier)) == [
+        "freshness_three_way_equivalence"
+    ]
+    assert _laws(validate_posi_oracle(fs, carrier, seed=1)) == [
+        "posi_atoms_defeat_composition",
+        "non_posi_atoms_allow_composition",
+    ]
+    arrow = perm_acs_arrow(fs, Permutation.swap("a", "b"))
+    assert _laws(acs_arrow_check(arrow, carrier)) == [
+        "fixes_bot_and_top",
+        "strictly_below_top_preserved",
+        "monoid_homomorphism",
+    ]
+
+
+def test_functor_law_lists_in_order(backbone_model):
+    from chunkalg.functors import check_adjunction, iutxo_embedding_check
+
+    inst = ChunkAcs(backbone_model)
+    plain = check_adjunction(backbone_model, inst, seed=3, samples=10)
+    assert _laws(plain) == ADJUNCTION_LAWS
+    strict = check_adjunction(backbone_model, inst, seed=3, samples=10, strict=True)
+    assert _laws(strict) == ADJUNCTION_LAWS + ["epsilon_bijective_strict"]
+    assert _laws(iutxo_embedding_check(backbone_model, seed=5, samples=10)) == [
+        "loop_composition_preserved",
+        "round_trip_isomorphic",
+    ]
+
+
+class _CountingLeq(FiniteSetsAcs):
+    """Finite sets that count order comparisons."""
+
+    def __init__(self, universe):
+        super().__init__(universe)
+        self.leq_calls = 0
+
+    def leq(self, x, y):
+        self.leq_calls += 1
+        return super().leq(x, y)
+
+
+def test_non_strict_atomic_check_skips_the_strict_laws():
+    """Without ``strict``, the report lists exactly the four factorisation
+    laws and the order law on factors is not evaluated at all."""
+    inst = _CountingLeq(("a", "b", "c"))
+    report = atomic_axiom_check(inst, inst.enumerate_carrier(), strict=False)
+    assert _laws(report) == ATOMIC_LAWS
+    assert inst.leq_calls == 0
+    strict = atomic_axiom_check(inst, inst.enumerate_carrier(), strict=True)
+    assert _laws(strict) == ATOMIC_LAWS + ATOMIC_STRICT_LAWS
+    assert inst.leq_calls > 0
