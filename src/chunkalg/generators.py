@@ -54,14 +54,13 @@ class GenConfig:
     max_atoms: int = 12
     max_txs: int = 4
     max_ios_per_tx: int = 3
-    script_depth: int = 2
     reject_rate: float = 0.15
     impure_rate: float = 0.0
 
     def __post_init__(self):
         if self.max_atoms < 1 or self.max_ios_per_tx < 1:
             raise BoundsTooTight("need at least one atom and one slot per transaction")
-        if self.max_txs < 0 or self.script_depth < 0:
+        if self.max_txs < 0:
             raise BoundsTooTight("negative bounds")
 
 
@@ -93,10 +92,9 @@ def _gen_datum(rng: random.Random) -> int:
     return rng.randint(0, 9)
 
 
-def _spendable_validator(
-    rng: random.Random, position: Atom, datum: int, depth: int
-) -> tuple[Script, str]:
-    """A validator plus a witness key guaranteed to satisfy it point-locally."""
+def _spendable_validator(rng: random.Random, position: Atom, datum: int) -> tuple[Script, str]:
+    """A validator plus a witness key guaranteed to satisfy it point-locally;
+    two levels deep at most."""
     witness = _gen_key(rng)
     choices = [
         AcceptAll(),
@@ -106,7 +104,7 @@ def _spendable_validator(
         Not(RejectAll()),
     ]
     script = rng.choice(choices)
-    if depth >= 2 and rng.random() < 0.4:
+    if rng.random() < 0.4:
         script = rng.choice(
             [Or(RejectAll(), script), And(script, Not(RejectAll()))]
         )
@@ -138,7 +136,7 @@ def gen_transaction(cfg: GenConfig, rng: Optional[random.Random] = None) -> Tran
         if rng.random() < cfg.reject_rate:
             outputs.append(Output(p, d, _rejecting_validator(rng)))
         else:
-            script, _ = _spendable_validator(rng, p, d, cfg.script_depth)
+            script, _ = _spendable_validator(rng, p, d)
             outputs.append(Output(p, d, script))
     return Transaction(inputs, outputs)
 
@@ -193,7 +191,7 @@ class _ChunkBuilder:
                 outputs.append(Output(a, d, _rejecting_validator(rng)))
                 self.open.append(_OpenOutput(a, None))
             else:
-                script, witness = _spendable_validator(rng, a, d, cfg.script_depth)
+                script, witness = _spendable_validator(rng, a, d)
                 outputs.append(Output(a, d, script))
                 self.open.append(_OpenOutput(a, witness))
         if not inputs and not outputs:
@@ -498,7 +496,7 @@ def _consumer(
                 break
             a = pool.pop(0)
             d = _gen_datum(rng)
-            script, _ = _spendable_validator(rng, a, d, cfg.script_depth)
+            script, _ = _spendable_validator(rng, a, d)
             outputs.append(Output(a, d, script))
         if inputs or outputs:
             txs.append(Transaction(inputs, outputs))

@@ -35,6 +35,7 @@ chunk's positions and the candidate's own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .atoms import Atom, Permutation, act_opaque, fresh_atoms, value_label
@@ -94,6 +95,22 @@ class Output:
         return (self.position, value_label(self.datum), script_label(self.validator))
 
 
+_position = attrgetter("position")
+
+
+def _slot_order(slots: Iterable, sort_key: Callable) -> tuple:
+    """The slots as a set, in ``sort_key`` order.
+
+    ``sort_key`` starts with the position, so where positions are distinct,
+    as in every transaction of a chunk, position order is that order and
+    nothing is labelled; only slots sharing a position need the rest.
+    """
+    slots = set(slots)
+    if len({s.position for s in slots}) == len(slots):
+        return tuple(sorted(slots, key=_position))
+    return tuple(sorted(slots, key=sort_key))
+
+
 @dataclass(frozen=True, init=False)
 class Transaction:
     """A pair of finite input and output sets, canonically ordered.
@@ -115,12 +132,8 @@ class Transaction:
     _label = None
 
     def __init__(self, inputs: Iterable[Input] = (), outputs: Iterable[Output] = ()):
-        object.__setattr__(
-            self, "inputs", tuple(sorted(set(inputs), key=Input.sort_key))
-        )
-        object.__setattr__(
-            self, "outputs", tuple(sorted(set(outputs), key=Output.sort_key))
-        )
+        object.__setattr__(self, "inputs", _slot_order(inputs, Input.sort_key))
+        object.__setattr__(self, "outputs", _slot_order(outputs, Output.sort_key))
 
     def is_empty(self) -> bool:
         return not self.inputs and not self.outputs
@@ -378,7 +391,8 @@ class Chunk:
         """A chunk of ``txs`` already known valid, built without revalidation.
 
         The one constructor that skips :func:`check_chunk`; callers hand it
-        seam-checked compositions and renamed singleton probes.
+        seam-checked compositions, renamed chunks and renamed singleton
+        probes.
         """
         chunk = object.__new__(cls)
         object.__setattr__(chunk, "txs", txs)
@@ -393,7 +407,8 @@ class Chunk:
         return iter(self.txs)
 
     def rename(self, perm: Permutation) -> "Chunk":
-        return Chunk(tuple(tx.rename(perm) for tx in self.txs))
+        # Renaming is equivariant, so the image of a chunk is a chunk.
+        return Chunk._trusted(tuple(tx.rename(perm) for tx in self.txs))
 
     def label(self) -> str:
         label = self._label

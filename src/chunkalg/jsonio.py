@@ -48,8 +48,8 @@ from .scripts import (
 )
 
 SCHEMA_VERSION = 1
-# Deepest validator nesting accepted: scripts are evaluated, labelled and
-# canonicalized recursively, so a deeper one would exhaust the stack there.
+# Deepest validator nesting accepted: scripts are evaluated, renamed and
+# labelled recursively, so a deeper one would exhaust the stack there.
 MAX_SCRIPT_DEPTH = 100
 
 

@@ -2,12 +2,10 @@
 
 A script denotes a total predicate over ``(datum, pointed transaction)``,
 where the datum is the local state carried on the output that owns the
-script.  Scripts are compared by canonical structural form
-(:func:`canonical`): ``And``/``Or`` arguments are sorted and double negation
-is eliminated, so two canonically-equal scripts are the same validator.
-Extensionally equal but structurally distinct scripts count as distinct
-validators; that refinement is deliberate and keeps validator identity
-decidable.
+script.  Scripts are compared by plain dataclass equality, so
+extensionally equal but structurally distinct scripts (``And(a, b)`` and
+``And(b, a)``, or ``Not(Not(a))`` and ``a``) count as distinct validators;
+that refinement is deliberate and keeps validator identity decidable.
 
 A script is *point-local* (UTxO-style) when its decision depends only on the
 datum and on the distinguished input: every node kind here is point-local
@@ -172,7 +170,13 @@ class AcsCompose:
 
     The element is typically a whole chunk, so the hash, which reads its
     label, is computed on first use and kept on the node: it is part of the
-    immutable value, like the label a chunk keeps.
+    immutable value, like the label a chunk keeps.  It is not pickled,
+    since ``str`` hashes differ between processes.
+
+    A key from another carrier does not compose: the instance's
+    ``mcompose`` raises ``TypeError`` or ``AttributeError`` on it (finite
+    sets meet with ``&``, substitutions read ``.dom``, chunks their index),
+    and the node refuses.  Any other error is a fault and propagates.
     """
 
     element: Any
@@ -184,7 +188,7 @@ class AcsCompose:
         other = ptx.point.key
         try:
             composed = self.inst.mcompose(self.element, other)
-        except Exception:
+        except (TypeError, AttributeError):
             return False
         return composed != self.inst.top
 
@@ -200,6 +204,9 @@ class AcsCompose:
             h = hash(("acs_compose", value_label(self.element)))
             object.__setattr__(self, "_hash", h)
         return h
+
+    def __getstate__(self) -> dict:
+        return {"element": self.element, "inst": self.inst}
 
 
 Script = Union[
@@ -223,22 +230,6 @@ def evaluate_script(script: Script, datum: Any, ptx) -> bool:
 def script_is_pure(script: Script) -> bool:
     """True when the script's decision depends only on the datum and the point."""
     return script.is_pure()
-
-
-def canonical(script: Script) -> Script:
-    """Canonical structural form: sorted And/Or arguments, no double negation."""
-    if isinstance(script, Not):
-        body = canonical(script.body)
-        if isinstance(body, Not):
-            return body.body
-        return Not(body)
-    if isinstance(script, (And, Or)):
-        left = canonical(script.left)
-        right = canonical(script.right)
-        if script_label(right) < script_label(left):
-            left, right = right, left
-        return type(script)(left, right)
-    return script
 
 
 def script_to_obj(script: Script) -> dict:
@@ -279,50 +270,10 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def script_label(script: Script) -> str:
-    """Deterministic string form; sort key for outputs and canonicalization.
+    """Deterministic string form: the wire text of :func:`script_to_obj`.
 
-    Equal to ``json.dumps(script_to_obj(script), sort_keys=True,
-    separators=(",", ":"))``, the wire format, but built from the node
-    structure without the intermediate dict.  Scripts keep no label: the
-    walk is cheap once the chunk an :class:`AcsCompose` carries keeps its
-    own, and a per-script copy would cost memory on every output.
+    Scripts keep no label: it is needed only for the outputs of labelled
+    transactions and for two outputs that share a position, and a copy on
+    every script would cost memory on every output.
     """
-    if isinstance(script, AcsCompose):
-        return '{"element":' + _encode(value_label(script.element)) + ',"node":"acs_compose"}'
-    if isinstance(script, AcceptAll):
-        return '{"node":"accept_all"}'
-    if isinstance(script, RejectAll):
-        return '{"node":"reject_all"}'
-    if isinstance(script, KeyEquals):
-        return '{"key":' + _scalar_label(script.key) + ',"node":"key_equals"}'
-    if isinstance(script, DatumEquals):
-        return '{"datum":' + _scalar_label(script.datum) + ',"node":"datum_equals"}'
-    if isinstance(script, InputPositionIn):
-        positions = ",".join(map(_encode, sorted(script.positions)))
-        return '{"node":"input_position_in","positions":[' + positions + "]}"
-    if isinstance(script, SpendsAtMostNInputs):
-        return '{"limit":' + _scalar_label(script.limit) + ',"node":"spends_at_most_n_inputs"}'
-    if isinstance(script, Not):
-        return '{"body":' + script_label(script.body) + ',"node":"not"}'
-    if isinstance(script, (And, Or)):
-        node = "and" if isinstance(script, And) else "or"
-        return (
-            '{"left":' + script_label(script.left) + ',"node":"' + node
-            + '","right":' + script_label(script.right) + "}"
-        )
-    raise TypeError(f"not a script: {script!r}")
-
-
-def _scalar_label(value: Any) -> str:
-    """The JSON text of :func:`_scalar_obj` of ``value``, spelled as json.dumps
-    spells it; ints and the constants skip the encoder, which is slow on
-    anything but a string."""
-    if isinstance(value, str):
-        return _encode(value)
-    if value is None or isinstance(value, bool):
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _encode(value)
-    return '{"label":' + _encode(value_label(value)) + "}"
+    return _encode(script_to_obj(script))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunkalg.atoms import Permutation, act, swap
-from chunkalg.generators import GenConfig, gen_txlist, gen_valid_chunk, stream
+from chunkalg.generators import GenConfig, gen_model, gen_perm, gen_txlist, gen_valid_chunk, stream
 from chunkalg.ieutxo import (
     BACKWARD_OR_SELF_POINTER,
     Chunk,
@@ -19,6 +19,7 @@ from chunkalg.ieutxo import (
     VALIDATION_FAILED,
     check_chunk,
     compose,
+    enumerate_chunks,
     input_channels,
     is_chunk,
     is_sublist,
@@ -27,7 +28,7 @@ from chunkalg.ieutxo import (
     pos,
     sublists,
 )
-from chunkalg.scripts import KeyEquals
+from chunkalg.scripts import And, InputPositionIn, KeyEquals
 
 from conftest import mk_tx
 
@@ -242,3 +243,41 @@ def test_down_closure_property(txs):
     if is_chunk(txs):
         for sub in sublists(txs):
             assert is_chunk(sub)
+
+
+# A spend that only its named position passes, next to generated chunks,
+# whose validators name their own position and a q-atom about a fifth of
+# the time.
+_NAMED = Chunk((
+    mk_tx([], [
+        ("a", 0, InputPositionIn(frozenset({"a", "q1"}))),
+        ("b", 1, And(InputPositionIn(frozenset("b")), KeyEquals("k"))),
+    ]),
+    mk_tx([("a", "x"), ("b", "k")], [("c", 2)]),
+))
+
+
+@st.composite
+def renamed_chunks(draw):
+    """Chunks from one seeded stream and a permutation of their positions,
+    the atoms their validators name, and as many fresh atoms."""
+    cfg = GenConfig(seed=draw(st.integers(0, 2**20)), max_atoms=draw(st.integers(4, 10)))
+    rng = stream(cfg)
+    if draw(st.booleans()):
+        chunks = [gen_valid_chunk(cfg, rng, close_inputs=draw(st.booleans())) for _ in range(3)]
+    else:
+        chunks = list(enumerate_chunks(gen_model(cfg, rng, n_txs=4), max_len=3))
+    chunks.append(_NAMED)
+    atoms = sorted(set().union(*map(pos, chunks)))
+    atoms += [f"q{i}" for i in range(10)] + [f"u{i}" for i in range(len(atoms))]
+    return chunks, gen_perm(cfg, rng, atoms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(renamed_chunks())
+def test_renamed_chunks_are_chunks(case):
+    chunks, perm = case
+    for ch in chunks:
+        renamed = ch.rename(perm)
+        assert renamed.txs == tuple(tx.rename(perm) for tx in ch.txs)
+        assert check_chunk(renamed.txs).ok

@@ -1,7 +1,8 @@
 """Labels and hashes computed once, against from-scratch references.
 
-``script_label`` is built structurally and must equal the JSON wire form
-``json.dumps(script_to_obj(s), sort_keys=True, separators=(",", ":"))``.
+``script_label`` must equal the JSON wire form ``json.dumps(script_to_obj(s),
+sort_keys=True, separators=(",", ":"))`` and the same form built from an
+independent walk that reads no kept label.
 Transactions and chunks keep their label, and ``AcsCompose`` its hash, after
 first use; each is compared with an independent recomputation, also after
 renaming.  ``is_top`` tests interned tops by identity, which must not change

@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+import chunkalg
+from chunkalg.acs import ChunkAcs, FiniteSetsAcs, Fn, Subst, SubstAcs
 from chunkalg.atoms import swap
-from chunkalg.ieutxo import Input, PointedTransaction, Transaction
+from chunkalg.ieutxo import EMPTY_CHUNK, Input, PointedTransaction, Transaction
 from chunkalg.scripts import (
     AcceptAll,
     And,
@@ -11,7 +19,6 @@ from chunkalg.scripts import (
     Or,
     RejectAll,
     SpendsAtMostNInputs,
-    canonical,
     script_is_pure,
     script_label,
     script_to_obj,
@@ -69,13 +76,6 @@ def test_purity():
     assert not script_is_pure(And(AcceptAll(), SpendsAtMostNInputs(3)))
 
 
-def test_canonical_sorts_and_unnests():
-    a, b = KeyEquals("a"), KeyEquals("b")
-    assert canonical(And(b, a)) == canonical(And(a, b))
-    assert canonical(Not(Not(a))) == a
-    assert canonical(Or(Not(Not(b)), a)) == canonical(Or(a, b))
-
-
 def test_rename_touches_position_literals_not_keys():
     s = And(KeyEquals("a"), InputPositionIn(frozenset({"a", "b"})))
     r = s.rename(swap("a", "z"))
@@ -115,3 +115,58 @@ def test_acs_compose_total_on_junk_keys():
 
     node = AcsCompose("e1", Exploding())
     assert not node.evaluate("e1", ptx(("a", "junk")))
+
+
+def test_acs_compose_refuses_keys_from_another_carrier(backbone_model):
+    elements = {
+        FiniteSetsAcs(("a", "b")): frozenset({"a"}),
+        SubstAcs(("a", "b")): Subst([("a", Fn("c"))]),
+        ChunkAcs(backbone_model): EMPTY_CHUNK,
+    }
+    for inst, element in elements.items():
+        node = AcsCompose(element, inst)
+        for other, junk in elements.items():
+            if other is not inst:
+                assert not node.evaluate(0, ptx(("a", junk)))
+        assert not node.evaluate(0, ptx(("a", "junk")))
+
+
+def test_acs_compose_propagates_instance_faults():
+    class Faulty:
+        top = "TOP"
+
+        def mcompose(self, x, y):
+            raise RuntimeError("bug in the instance")
+
+    node = AcsCompose("e1", Faulty())
+    with pytest.raises(RuntimeError, match="bug in the instance"):
+        node.evaluate("e1", ptx(("a", "e2")))
+
+
+_PICKLE_NODE = """
+import pickle, sys
+from chunkalg.ieutxo import Chunk, Input, Output, Transaction
+from chunkalg.scripts import AcceptAll, AcsCompose
+
+chunk = Chunk((Transaction([Input("a", "k")], [Output("b", 1, AcceptAll())]),))
+fresh = AcsCompose(chunk, None)
+if sys.argv[1] == "dump":
+    hash(fresh)
+    sys.stdout.buffer.write(pickle.dumps(fresh))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    print(loaded == fresh, hash(loaded) == hash(fresh), loaded in {fresh})
+"""
+
+
+def test_acs_compose_hash_is_not_pickled():
+    """A node hashed and pickled in one process hashes as a fresh node in
+    another, whose ``str`` hashes differ."""
+    src = os.path.dirname(os.path.dirname(chunkalg.__file__))
+
+    def run(seed, mode, data=None):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        cmd = [sys.executable, "-c", _PICKLE_NODE, mode]
+        return subprocess.run(cmd, input=data, env=env, capture_output=True, check=True).stdout
+
+    assert run("2", "load", run("1", "dump")).split() == [b"True", b"True", b"True"]
