@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .atoms import Atom, Permutation, act, value_label
+from .atoms import NO_ATOMS, Atom, Atomless, Permutation, act, value_label
 from .ieutxo import (
     FAIL,
     EMPTY_CHUNK,
@@ -41,7 +41,7 @@ from .ieutxo import (
 
 
 @dataclass(frozen=True, eq=False)
-class TopElement:
+class TopElement(Atomless):
     """A formal failure element for instances whose carrier lacks one.
 
     Interned: there is one object per tag, so two instances built
@@ -59,9 +59,6 @@ class TopElement:
 
     def __reduce__(self):
         return (TopElement, (self.tag,))
-
-    def rename(self, perm: Permutation) -> "TopElement":
-        return self
 
     def label(self) -> str:
         return f"top:{self.tag}"
@@ -258,6 +255,9 @@ class Var:
     def rename(self, perm: Permutation) -> "Var":
         return Var(perm(self.name))
 
+    def support(self) -> frozenset[Atom]:
+        return frozenset((self.name,))
+
     def label(self) -> str:
         return self.name
 
@@ -271,6 +271,9 @@ class Fn:
 
     def rename(self, perm: Permutation) -> "Fn":
         return Fn(self.symbol, tuple(a.rename(perm) for a in self.args))
+
+    def support(self) -> frozenset[Atom]:
+        return NO_ATOMS.union(*(a.support() for a in self.args))
 
     def label(self) -> str:
         if not self.args:
@@ -301,6 +304,9 @@ class Subst:
 
     def rename(self, perm: Permutation) -> "Subst":
         return Subst((perm(a), t.rename(perm)) for a, t in self.bindings)
+
+    def support(self) -> frozenset[Atom]:
+        return self.dom.union(*(t.support() for _, t in self.bindings))
 
     def label(self) -> str:
         body = ",".join(f"{a}:={t.label()}" for a, t in self.bindings)

@@ -11,6 +11,10 @@ protocol: a value that mentions atoms implements ``rename(perm)``, and
 :func:`act` dispatches on it.  Bare strings at the *top level* of ``act`` are
 treated as atoms; strings sitting in key/datum slots are opaque scalars and
 are left alone (see :func:`act_opaque`).
+
+The values kept in chunks and models also implement ``support()``, their
+nominal support: the atoms they mention, which :func:`support` reads the
+way :func:`act` renames.
 """
 
 from __future__ import annotations
@@ -149,6 +153,47 @@ def act_opaque(perm: Permutation, value: Any) -> Any:
     if isinstance(value, str):
         return value
     return act(perm, value)
+
+
+NO_ATOMS: frozenset[Atom] = frozenset()
+
+
+class Atomless:
+    """A value that mentions no atom, so every permutation fixes it."""
+
+    __slots__ = ()
+
+    def rename(self, perm: Permutation) -> "Atomless":
+        return self
+
+    def support(self) -> frozenset[Atom]:
+        return NO_ATOMS
+
+
+def support(value: Any) -> frozenset[Atom]:
+    """The atoms ``value`` mentions: exactly those :func:`act` can move.
+
+    Mirrors :func:`act` case by case, so a permutation that fixes the
+    support pointwise leaves the value equal to itself, and one that moves
+    a support atom to an atom outside it changes the value.
+    """
+    if isinstance(value, str):
+        return frozenset((value,))
+    if isinstance(value, (int, float, bool)) or value is None:
+        return NO_ATOMS
+    own = getattr(value, "support", None)
+    if callable(own):
+        return own()
+    if isinstance(value, (tuple, list, frozenset)):
+        return NO_ATOMS.union(*map(support, value))
+    raise TypeError(f"no permutation action for {type(value).__name__}")
+
+
+def support_opaque(value: Any) -> frozenset[Atom]:
+    """Support in key/datum slots, mirroring :func:`act_opaque`."""
+    if isinstance(value, str):
+        return NO_ATOMS
+    return support(value)
 
 
 def value_label(value: Any) -> str:

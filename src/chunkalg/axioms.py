@@ -44,6 +44,8 @@ class LawResult:
 
     With an instance, a failure's witness is the list of labels of the
     elements involved; without one, it is the single note passed along.
+    A law checked 0 times passes but is not exercised: its sample never
+    met the law's premise, and the report says so.
     """
 
     law: str
@@ -55,6 +57,10 @@ class LawResult:
     def ok(self) -> bool:
         return not self.witnesses
 
+    @property
+    def exercised(self) -> bool:
+        return self.checked > 0
+
     def check(self, ok: bool, *involved: Any) -> None:
         self.checked += 1
         if not ok and len(self.witnesses) < MAX_WITNESSES:
@@ -64,12 +70,15 @@ class LawResult:
                 self.witnesses.append([self.inst.label(v) for v in involved])
 
     def to_obj(self) -> dict:
-        return {
+        obj = {
             "axiom": self.law,
             "status": "pass" if self.ok else "fail",
             "checked": self.checked,
             "witnesses": self.witnesses,
         }
+        if not self.exercised:
+            obj["exercised"] = False
+        return obj
 
 
 @dataclass

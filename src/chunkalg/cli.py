@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 from . import __version__
@@ -194,7 +195,7 @@ def _resolve_instance(spec: str, samples: int, seed: int) -> tuple[AcsInstance, 
     if spec.startswith("chunks:"):
         model, _ = load_model(spec.split(":", 1)[1])
         if model.probe_candidates is None:
-            model.probe_candidates = model.transactions
+            model = replace(model, probe_candidates=model.transactions)
         inst = ChunkAcs(model)
         return inst, inst.sample_elements(samples, seed)
     raise ParseError(
@@ -225,6 +226,8 @@ def cmd_acs_check(args: argparse.Namespace) -> int:
         for law in r.results:
             if not law.ok:
                 human.append(f"    {law.law}: FAIL {law.witnesses[:2]}")
+            elif not law.exercised:
+                human.append(f"    {law.law}: pass, not exercised (checked 0 times)")
     _emit(args, _report("acs-check", "ok" if ok else "violations", payload, seed), human)
     return EXIT_OK if ok else EXIT_VIOLATIONS
 
@@ -235,7 +238,7 @@ def cmd_adjunction(args: argparse.Namespace) -> int:
     if args.model:
         model, _ = load_model(args.model)
         if model.probe_candidates is None:
-            model.probe_candidates = model.transactions
+            model = replace(model, probe_candidates=model.transactions)
             probe_defaulted = True
     else:
         cfg = GenConfig(seed=seed, max_txs=4)
@@ -250,7 +253,8 @@ def cmd_adjunction(args: argparse.Namespace) -> int:
     ok = report.ok
     human = [f"model {model.name}: adjunction {'pass' if ok else 'FAIL'}"]
     for law in report.results:
-        human.append(f"  {law.law}: {'pass' if law.ok else 'FAIL'}")
+        unexercised = "" if law.exercised else ", not exercised (checked 0 times)"
+        human.append(f"  {law.law}: {'pass' if law.ok else 'FAIL'}{unexercised}")
     _emit(args, _report("adjunction", "ok" if ok else "violations", payload, seed), human)
     return EXIT_OK if ok else EXIT_VIOLATIONS
 

@@ -29,16 +29,33 @@ candidate transactions, renamed so that one slot lands on the queried
 position and every other position is fresh.  Freshness shrinks the seam to
 that one position, so each probe comes down to one validator call; the
 fresh atoms are minted once per call, since they need only avoid the
-chunk's positions and the candidate's own.
+chunk's positions and the candidate's own.  Renaming is equivariant, and a
+permutation that fixes a value's support (the atoms it mentions, its
+``support()``) leaves the value unchanged.  So a candidate whose keys,
+datums and validators mention no atom is probed by moving its positions
+alone; only a candidate with support is renamed by a permutation.  Which
+candidates are chunks on their own, and which are support-free, is found
+once, when the model is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .atoms import Atom, Permutation, act_opaque, fresh_atoms, value_label
+from .atoms import (
+    NO_ATOMS,
+    Atom,
+    Atomless,
+    Permutation,
+    act,
+    act_opaque,
+    fresh_atoms,
+    support_opaque,
+    value_label,
+)
 from .scripts import Script, evaluate_script, script_is_pure, script_label
 
 
@@ -74,6 +91,9 @@ class Input:
     def rename(self, perm: Permutation) -> "Input":
         return Input(perm(self.position), act_opaque(perm, self.key))
 
+    def support(self) -> frozenset[Atom]:
+        return support_opaque(self.key) | {self.position}
+
     def sort_key(self) -> tuple:
         return (self.position, value_label(self.key))
 
@@ -91,6 +111,9 @@ class Output:
             self.validator.rename(perm),
         )
 
+    def support(self) -> frozenset[Atom]:
+        return support_opaque(self.datum) | self.validator.support() | {self.position}
+
     def sort_key(self) -> tuple:
         return (self.position, value_label(self.datum), script_label(self.validator))
 
@@ -103,12 +126,13 @@ def _slot_order(slots: Iterable, sort_key: Callable) -> tuple:
 
     ``sort_key`` starts with the position, so where positions are distinct,
     as in every transaction of a chunk, position order is that order and
-    nothing is labelled; only slots sharing a position need the rest.
+    nothing is labelled, and no two slots are equal, so nothing is hashed;
+    only slots sharing a position need the rest.
     """
-    slots = set(slots)
+    slots = tuple(slots)
     if len({s.position for s in slots}) == len(slots):
         return tuple(sorted(slots, key=_position))
-    return tuple(sorted(slots, key=sort_key))
+    return tuple(sorted(set(slots), key=sort_key))
 
 
 @dataclass(frozen=True, init=False)
@@ -143,6 +167,9 @@ class Transaction:
             (i.rename(perm) for i in self.inputs),
             (o.rename(perm) for o in self.outputs),
         )
+
+    def support(self) -> frozenset[Atom]:
+        return NO_ATOMS.union(*(s.support() for s in self.inputs + self.outputs))
 
     def label(self) -> str:
         label = self._label
@@ -410,6 +437,9 @@ class Chunk:
         # Renaming is equivariant, so the image of a chunk is a chunk.
         return Chunk._trusted(tuple(tx.rename(perm) for tx in self.txs))
 
+    def support(self) -> frozenset[Atom]:
+        return NO_ATOMS.union(*(tx.support() for tx in self.txs))
+
     def label(self) -> str:
         label = self._label
         if label is None:
@@ -418,7 +448,7 @@ class Chunk:
         return label
 
 
-class _Fail:
+class _Fail(Atomless):
     """The absorbing failure element adjoined to the chunk monoid."""
 
     _instance: Optional["_Fail"] = None
@@ -427,9 +457,6 @@ class _Fail:
         if cls._instance is None:
             cls._instance = super().__new__(cls)
         return cls._instance
-
-    def rename(self, perm: Permutation) -> "_Fail":
-        return self
 
     def label(self) -> str:
         return "FAIL"
@@ -612,7 +639,27 @@ def commuting(x: Chunk, y: Chunk) -> bool:
 # Models
 
 
-@dataclass(eq=False)
+def _probe_facts(tx: Transaction) -> Optional[tuple[Transaction, tuple[Atom, ...], bool]]:
+    """(candidate, its sorted positions, whether it is support-free: no
+    key, datum or validator mentions an atom, so a permutation moves its
+    positions and nothing else), or None if the candidate is not a chunk on
+    its own.
+
+    A single transaction is a chunk exactly when it is nonempty and its
+    positions are distinct; renaming keeps them distinct, so no renamed
+    copy of another candidate is a chunk either.
+    """
+    slots = tx.inputs + tx.outputs
+    positions = tuple(sorted({s.position for s in slots}))
+    if not slots or len(positions) != len(slots):
+        return None
+    support_free = not any(support_opaque(i.key) for i in tx.inputs) and not any(
+        support_opaque(o.datum) or o.validator.support() for o in tx.outputs
+    )
+    return tx, positions, support_free
+
+
+@dataclass(frozen=True, eq=False)
 class IeutxoModel:
     """A finitely-presented model: named transaction enumeration plus options.
 
@@ -622,15 +669,22 @@ class IeutxoModel:
     itself.  Enumerated transactions must be nonempty, singleton-valid
     (disjoint input and output channels, so the identity arrow exists) and
     pairwise distinct.
+
+    The model is immutable: the probe candidates that are chunks on their
+    own, with their positions and whether they are support-free, are found
+    once here (see :func:`_probe_facts`), not on every blocked-channel
+    query.  A model with another universe is a new model
+    (``dataclasses.replace``).
     """
 
     name: str
     transactions: TxList = ()
     admissible: Optional[Callable[[Transaction], bool]] = None
     probe_candidates: Optional[TxList] = None
+    _probes: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.transactions = tuple(self.transactions)
+        object.__setattr__(self, "transactions", tuple(self.transactions))
         seen = set()
         for tx in self.transactions:
             if tx.is_empty():
@@ -646,7 +700,9 @@ class IeutxoModel:
                 raise ModelError("duplicate transaction in model enumeration")
             seen.add(tx)
         if self.probe_candidates is not None:
-            self.probe_candidates = tuple(self.probe_candidates)
+            cands = tuple(self.probe_candidates)
+            object.__setattr__(self, "probe_candidates", cands)
+            object.__setattr__(self, "_probes", tuple(filter(None, map(_probe_facts, cands))))
 
     def is_admissible(self, tx: Transaction) -> bool:
         if tx.is_empty():
@@ -693,52 +749,64 @@ def is_iutxo_model(model: IeutxoModel) -> bool:
 # Blocked channels
 
 
-def _probe_candidates(model: IeutxoModel) -> list[Transaction]:
-    """The declared probe universe, less candidates that are not chunks on
-    their own: renaming keeps a transaction's positions distinct, so no
-    renamed copy of those is one either."""
-    if model.probe_candidates is None:
-        raise MissingProbeUniverse(model.name)
-    return [cand for cand in model.probe_candidates if is_chunk((cand,))]
-
-
-_ProbePlan = list[tuple[Transaction, Union[Input, Output], dict]]
+_ProbePlan = list[tuple[Transaction, Union[Input, Output], dict, bool]]
 
 
 def _probe_plan(
     model: IeutxoModel, avoid: frozenset[Atom], slots: Callable[[Transaction], tuple]
 ) -> _ProbePlan:
-    """(candidate, slot, renaming of the candidate's other positions) for
-    each probe candidate and each of its ``slots`` (its inputs, outputs or
-    both), in candidate order and then slot position order.
+    """(candidate, slot, renaming of the candidate's other positions, whether
+    the candidate is support-free) for each probe candidate and each of its
+    ``slots`` (its inputs, outputs or both), in candidate order and then
+    slot position order.
 
     Made once per call, not once per probe: the other positions go to
     atoms minted outside ``avoid`` and the candidate's positions, and every
     queried atom lies in ``avoid``, so the fresh atoms do not depend on the
     queried atom or on the slot.
     """
+    if model._probes is None:
+        raise MissingProbeUniverse(model.name)
     plan = []
-    for cand in _probe_candidates(model):
-        cpos = sorted(pos(cand))
+    for cand, cpos, support_free in model._probes:
         fresh = fresh_atoms(len(cpos) - 1, avoid.union(cpos))
-        for slot in sorted(slots(cand), key=lambda s: s.position):
+        for slot in sorted(slots(cand), key=_position):
             others = [p for p in cpos if p != slot.position]
-            plan.append((cand, slot, dict(zip(others, fresh))))
+            plan.append((cand, slot, dict(zip(others, fresh)), support_free))
     return plan
+
+
+def _relocated(moves: dict, value: Union[Input, Output, Transaction]):
+    """``value`` with each position ``p`` moved to ``moves[p]`` and nothing
+    else changed: what every permutation extending ``moves`` makes of a
+    value whose keys, datums and validators mention no atom."""
+    if isinstance(value, Transaction):
+        return Transaction(
+            [Input(moves[i.position], i.key) for i in value.inputs],
+            [Output(moves[o.position], o.datum, o.validator) for o in value.outputs],
+        )
+    if isinstance(value, Input):
+        return Input(moves[value.position], value.key)
+    return Output(moves[value.position], value.datum, value.validator)
 
 
 def _renamed_probes(
     plan: _ProbePlan, a: Atom
-) -> Iterator[tuple[Transaction, Union[Input, Output], Permutation]]:
-    """Each planned (candidate, slot) with the permutation that lands the
-    slot on ``a`` and the other positions on their fresh atoms.
+) -> Iterator[tuple[Transaction, Union[Input, Output], Callable]]:
+    """Each planned (candidate, slot) with the renaming that lands the slot
+    on ``a`` and the other positions on their fresh atoms.
 
-    The permutation is the exact completion of that map, so scripts, keys
-    or datums that name a fresh atom or ``a`` are renamed consistently with
-    the positions.
+    For a candidate with support the renaming is the exact permutation
+    completing that map, so scripts, keys or datums that name a fresh atom
+    or ``a`` are renamed consistently with the positions; a support-free
+    candidate only has its positions moved (:func:`_relocated`).
     """
-    for cand, slot, others in plan:
-        yield cand, slot, Permutation.extending({**others, slot.position: a})
+    for cand, slot, others, support_free in plan:
+        moves = {**others, slot.position: a}
+        if support_free:
+            yield cand, slot, partial(_relocated, moves)
+        else:
+            yield cand, slot, partial(act, Permutation.extending(moves))
 
 
 def _blocked(ch: Chunk, model: IeutxoModel, inputs: bool) -> frozenset[Atom]:
@@ -754,6 +822,13 @@ def _blocked(ch: Chunk, model: IeutxoModel, inputs: bool) -> frozenset[Atom]:
     is read: as the spender's context at an unspent output, and for the
     model's admissible predicate, which an unspent input's probe meets only
     after its renamed output has accepted.
+
+    A permutation that fixes a value's support leaves the value unchanged,
+    so a support-free candidate (see :func:`_probe_facts`) keeps its keys,
+    datums and validators under every probe: its probe is the candidate
+    with its positions moved, and no permutation is built or validator
+    renamed.  A candidate with support is renamed by the exact permutation
+    (see :func:`_renamed_probes`).
     """
     ix = _index_of(ch)
     slots = (lambda c: c.outputs) if inputs else (lambda c: c.inputs)
@@ -763,15 +838,15 @@ def _blocked(ch: Chunk, model: IeutxoModel, inputs: bool) -> frozenset[Atom]:
         if inputs:
             spender = PointedTransaction(*ix.ins[a])
             return any(
-                validates(slot.rename(perm), spender)
-                and (model.admissible is None or model.is_admissible(cand.rename(perm)))
-                for cand, slot, perm in _renamed_probes(plan, a)
+                validates(rename(slot), spender)
+                and (model.admissible is None or model.is_admissible(rename(cand)))
+                for cand, slot, rename in _renamed_probes(plan, a)
             )
         out = ix.outs[a]
         return any(
-            model.is_admissible(probe := cand.rename(perm))
-            and validates(out, PointedTransaction(probe, slot.rename(perm)))
-            for cand, slot, perm in _renamed_probes(plan, a)
+            model.is_admissible(probe := rename(cand))
+            and validates(out, PointedTransaction(probe, rename(slot)))
+            for cand, slot, rename in _renamed_probes(plan, a)
         )
 
     return frozenset(a for a in (ix.ins if inputs else ix.outs) if not connects(a))
@@ -810,8 +885,8 @@ def renamed_probe_chunks(
     return [
         Chunk._trusted((probe,))
         for a in sorted(avoid)
-        for cand, _, perm in _renamed_probes(plan, a)
-        if model.is_admissible(probe := cand.rename(perm))
+        for cand, _, rename in _renamed_probes(plan, a)
+        if model.is_admissible(probe := rename(cand))
     ]
 
 

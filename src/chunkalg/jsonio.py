@@ -14,19 +14,24 @@ Chunk file: either a bare JSON array of inline transactions, or::
      "model": {...} | "model_file": "relative/path.json",
      "transactions": ["tx1", {...inline...}, ...]}
 
-Keys and datums are JSON scalars.  Every dump is deterministic: sorted keys,
-fixed separators, atom sets sorted.
+Keys and datums are JSON scalars, numbers finite.  Every dump is
+deterministic: sorted keys, fixed separators, atom sets sorted.
 
 An object-form file may omit ``schema_version`` (it is then read as version
 1); any other version is refused.  ``transactions``, ``probe_candidates``,
 ``inputs`` and ``outputs`` must be arrays, a chunk-file object must list
-its ``transactions``, and a transaction ``name`` must be a string, unique
-within its model.  Every refusal is a :class:`ParseError`.
+its ``transactions``, a transaction ``name`` must be a string, unique
+within its model, and a ``model_file`` a nonempty path without NUL.
+Atoms (positions, ``input_position_in`` entries, permutation entries) are
+nonempty strings.  A file that is not UTF-8 JSON, or holds an integer too
+long to convert, is refused too.  Every refusal is a :class:`ParseError`;
+only a file that cannot be read is an ``OSError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Any, Optional
 
@@ -71,7 +76,7 @@ def perm_to_obj(perm: Permutation) -> dict:
 
 def perm_from_obj(obj: Any) -> Permutation:
     if not isinstance(obj, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in obj.items()
+        isinstance(k, str) and isinstance(v, str) and k and v for k, v in obj.items()
     ):
         raise ParseError("permutation must be an object of atom-to-atom entries")
     try:
@@ -129,6 +134,8 @@ def script_from_obj(obj: Any, _depth: int = 1) -> Script:
 
 
 def _scalar(value: Any, what: str) -> Any:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParseError(f"{what} must be a finite number, got {value!r}")
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     raise ParseError(f"{what} must be a JSON scalar, got {type(value).__name__}")
@@ -278,8 +285,8 @@ def load_txlist(path: str) -> tuple[tuple[Transaction, ...], Optional[IeutxoMode
         model, named = model_from_obj(obj["model"])
     elif "model_file" in obj:
         ref = obj["model_file"]
-        if not isinstance(ref, str):
-            raise ParseError("model_file must be a path string")
+        if not isinstance(ref, str) or not ref or "\0" in ref:
+            raise ParseError("model_file must be a nonempty path string without NUL")
         base = os.path.dirname(os.path.abspath(path))
         model, named = load_model(os.path.join(base, ref))
     txs = tuple(_resolve_tx(item, named) for item in _array(obj, "transactions"))
@@ -287,11 +294,11 @@ def load_txlist(path: str) -> tuple[tuple[Transaction, ...], Optional[IeutxoMode
 
 
 def _read_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.loads(handle.read())
     except RecursionError:
         raise ParseError(f"{path}: JSON nests too deeply to load") from None
+    except ValueError as exc:
+        # Not JSON, not UTF-8, or an integer too long to convert.
+        raise ParseError(f"{path}: {exc}") from None

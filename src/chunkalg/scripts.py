@@ -6,6 +6,10 @@ script.  Scripts are compared by plain dataclass equality, so
 extensionally equal but structurally distinct scripts (``And(a, b)`` and
 ``And(b, a)``, or ``Not(Not(a))`` and ``a``) count as distinct validators;
 that refinement is deliberate and keeps validator identity decidable.
+Each node names the atoms it mentions through ``support()``, mirroring
+its ``rename``: ``input_position_in`` names its positions, a key or datum
+its atoms (strings there are opaque, those inside a tuple are atoms), and
+``acs_compose`` everything in its element.
 
 A script is *point-local* (UTxO-style) when its decision depends only on the
 datum and on the distinguished input: every node kind here is point-local
@@ -19,28 +23,22 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Union
 
-from .atoms import Atom, Permutation, act_opaque, value_label
+from .atoms import Atom, Atomless, act_opaque, support_opaque, value_label
 
 
 @dataclass(frozen=True)
-class AcceptAll:
+class AcceptAll(Atomless):
     def evaluate(self, datum: Any, ptx: "PointedTransaction") -> bool:  # noqa: F821
         return True
-
-    def rename(self, perm: Permutation) -> "AcceptAll":
-        return self
 
     def is_pure(self) -> bool:
         return True
 
 
 @dataclass(frozen=True)
-class RejectAll:
+class RejectAll(Atomless):
     def evaluate(self, datum, ptx) -> bool:
         return False
-
-    def rename(self, perm):
-        return self
 
     def is_pure(self) -> bool:
         return True
@@ -58,6 +56,9 @@ class KeyEquals:
     def rename(self, perm):
         return KeyEquals(act_opaque(perm, self.key))
 
+    def support(self):
+        return support_opaque(self.key)
+
     def is_pure(self) -> bool:
         return True
 
@@ -73,6 +74,9 @@ class DatumEquals:
 
     def rename(self, perm):
         return DatumEquals(act_opaque(perm, self.datum))
+
+    def support(self):
+        return support_opaque(self.datum)
 
     def is_pure(self) -> bool:
         return True
@@ -90,12 +94,15 @@ class InputPositionIn:
     def rename(self, perm):
         return InputPositionIn(frozenset(perm(a) for a in self.positions))
 
+    def support(self):
+        return self.positions
+
     def is_pure(self) -> bool:
         return True
 
 
 @dataclass(frozen=True)
-class SpendsAtMostNInputs:
+class SpendsAtMostNInputs(Atomless):
     """Accept only spenders with at most ``limit`` inputs.
 
     Looks past the input-point at the whole transaction, so it is the one
@@ -106,9 +113,6 @@ class SpendsAtMostNInputs:
 
     def evaluate(self, datum, ptx) -> bool:
         return len(ptx.transaction.inputs) <= self.limit
-
-    def rename(self, perm):
-        return self
 
     def is_pure(self) -> bool:
         return False
@@ -123,6 +127,9 @@ class Not:
 
     def rename(self, perm):
         return Not(self.body.rename(perm))
+
+    def support(self):
+        return self.body.support()
 
     def is_pure(self) -> bool:
         return self.body.is_pure()
@@ -139,6 +146,9 @@ class And:
     def rename(self, perm):
         return And(self.left.rename(perm), self.right.rename(perm))
 
+    def support(self):
+        return self.left.support() | self.right.support()
+
     def is_pure(self) -> bool:
         return self.left.is_pure() and self.right.is_pure()
 
@@ -153,6 +163,9 @@ class Or:
 
     def rename(self, perm):
         return Or(self.left.rename(perm), self.right.rename(perm))
+
+    def support(self):
+        return self.left.support() | self.right.support()
 
     def is_pure(self) -> bool:
         return self.left.is_pure() and self.right.is_pure()
@@ -194,6 +207,9 @@ class AcsCompose:
 
     def rename(self, perm):
         return AcsCompose(act_opaque(perm, self.element), self.inst)
+
+    def support(self):
+        return support_opaque(self.element)
 
     def is_pure(self) -> bool:
         return True

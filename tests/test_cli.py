@@ -237,6 +237,44 @@ def test_commute_one_order(capsys, tmp_path):
     assert p["freshness_equivalence_consistent"]
 
 
+def test_validate_unreadable_documents_are_parse_errors(tmp_path, capsys):
+    """Inputs the file-boundary fuzz found crashing: an integer too long to
+    convert, bytes that are not UTF-8, a NUL in a referenced model path,
+    and non-finite numbers in key or datum slots.  Each exits 2 with a
+    message, no traceback."""
+    cases = [
+        (b'[{"inputs":[{"pos":"a","key":' + b"1" * 5000 + b"}]}]", "integer string conversion"),
+        (b'[{"inputs":[{"pos":"a","key":"\xff"}]}]', "can't decode"),
+        (b'{"model_file":"m\\u0000.json","transactions":[]}', "model_file must be a nonempty path"),
+        (b'{"model_file":"","transactions":[]}', "model_file must be a nonempty path"),
+        (b'[{"inputs":[{"pos":"a","key":NaN}]}]', "key must be a finite number"),
+        (b'[{"outputs":[{"pos":"a","datum":1e400}]}]', "datum must be a finite number"),
+        (b'[{"outputs":[{"pos":"a","datum":0,"validator":{"node":"datum_equals","datum":-Infinity}}]}]',
+         "datum must be a finite number"),
+    ]
+    path = tmp_path / "chunk.json"
+    for text, message in cases:
+        path.write_bytes(text)
+        assert main(["validate", str(path)]) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and message in err, (text, err)
+
+
+def test_unexercised_laws_are_marked(capsys):
+    """A law its sample never exercised keeps its pass verdict, and both
+    reports say it was not exercised."""
+    code, report = run_json(capsys, "acs-check", "finsets", "--seed", "1")
+    assert code == 0
+    laws = [law for r in report["payload"]["reports"] for law in r["laws"]]
+    unexercised = [law for law in laws if law["checked"] == 0]
+    assert [law["axiom"] for law in unexercised] == ["left_right_clash_fails"]
+    assert unexercised[0]["status"] == "pass" and unexercised[0]["exercised"] is False
+    assert all("exercised" not in law for law in laws if law["checked"])
+    code, out = run(capsys, "acs-check", "finsets", "--seed", "1")
+    assert "    left_right_clash_fails: pass, not exercised (checked 0 times)" in out.splitlines()
+    assert out.count("not exercised") == 1
+
+
 def test_acs_check_instances(capsys):
     for instance in ("finsets", "subst"):
         code, report = run_json(capsys, "acs-check", instance, "--seed", "1")

@@ -8,13 +8,17 @@ forced, and with the probe path that renamed every probe with a frozen copy
 of the old ``_retarget`` and checked the whole concatenation.
 """
 
+import json
+from dataclasses import FrozenInstanceError
 from itertools import permutations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from chunkalg import ieutxo
 from chunkalg.atoms import Atom, Permutation, fresh_atoms
+from chunkalg.cli import _resolve_instance, main
 from chunkalg.generators import GenConfig, gen_model, gen_valid_chunk, stream
 from chunkalg.ieutxo import (
     BACKWARD_OR_SELF_POINTER,
@@ -52,6 +56,8 @@ from chunkalg.scripts import (
     RejectAll,
     SpendsAtMostNInputs,
 )
+
+from conftest import fixture_path
 
 
 def _ledger_reference(txs):
@@ -266,17 +272,65 @@ def _pool_txs(draw, distinct):
     )
 
 
+# Support-free candidates: opaque string or integer keys and datums, and
+# validators that name no atom.
+_free_leaves = st.one_of(
+    st.just(AcceptAll()),
+    st.just(RejectAll()),
+    st.builds(KeyEquals, st.sampled_from(["k0", "k1", 0])),
+    st.builds(DatumEquals, st.sampled_from(["k0", 0, 1])),
+    st.builds(SpendsAtMostNInputs, st.integers(0, 2)),
+)
+_free_scripts = st.recursive(
+    _free_leaves,
+    lambda s: st.one_of(st.builds(Not, s), st.builds(And, s, s), st.builds(Or, s, s)),
+    max_leaves=3,
+)
+
+
+@st.composite
+def _free_txs(draw):
+    ps = draw(st.lists(st.sampled_from(PROBE_POOL), min_size=1, max_size=3, unique=True))
+    is_out = draw(st.lists(st.booleans(), min_size=len(ps), max_size=len(ps)))
+    opaque = st.sampled_from(["k0", "k1", 0, 1])
+    return Transaction(
+        [Input(p, draw(opaque)) for p, o in zip(ps, is_out) if not o],
+        [Output(p, draw(opaque), draw(_free_scripts)) for p, o in zip(ps, is_out) if o],
+    )
+
+
+@st.composite
+def _named_position_txs(draw, ch):
+    """A candidate with support: its one output accepts only inputs at the
+    positions an ``InputPositionIn`` names, among them z1 (the first fresh
+    atom) or an atom of ``ch``, which the probes query; with an input that
+    may be spent or spend there."""
+    named = {draw(st.sampled_from(("z1",) + tuple(sorted(pos(ch)) or ("a",))))}
+    named |= draw(st.frozensets(st.sampled_from(PROBE_POOL), max_size=2))
+    out_at, in_at = draw(st.lists(st.sampled_from(PROBE_POOL), min_size=2, max_size=2, unique=True))
+    script = draw(st.sampled_from([
+        InputPositionIn(frozenset(named)),
+        Not(InputPositionIn(frozenset(named))),
+        Or(KeyEquals("k0"), InputPositionIn(frozenset(named))),
+    ]))
+    return Transaction([Input(in_at, draw(st.sampled_from(["k0", "k1"])))], [Output(out_at, 0, script)])
+
+
 @st.composite
 def probe_cases(draw):
     """(probed chunk, model): a chunk grown from pool transactions that keep
-    it a chunk, and a probe universe of pool transactions, some of which are
-    not chunks on their own, under an admissible predicate that may refuse
-    the renamed probes holding one atom."""
+    it a chunk, and a probe universe with at least one support-free
+    candidate and one naming positions in a validator, among pool
+    transactions, some of which are not chunks on their own, under an
+    admissible predicate that may refuse the renamed probes holding one
+    atom."""
     ch = EMPTY_CHUNK
     for tx in draw(st.lists(_pool_txs(True), min_size=1, max_size=4)):
         grown = compose(ch, Chunk((tx,)))
         ch = ch if grown is FAIL else grown
-    cands = draw(st.lists(st.one_of(_pool_txs(True), _pool_txs(False)), min_size=1, max_size=3))
+    cands = [draw(_free_txs()), draw(_named_position_txs(ch))]
+    cands += draw(st.lists(st.one_of(_free_txs(), _pool_txs(True), _pool_txs(False)), max_size=2))
+    cands = draw(st.permutations(cands))
     banned = draw(st.one_of(st.none(), st.sampled_from(PROBE_POOL + ("z3", "z4"))))
     admissible = None if banned is None else (lambda tx: banned not in pos(tx))
     return Chunk(ch.txs), IeutxoModel("probes", (), admissible=admissible, probe_candidates=tuple(cands))
@@ -301,9 +355,11 @@ def _renamed_probe_chunks_reference(atoms, model):
 def test_probe_plan_matches_singleton_reference(case):
     """One validator call per probe, with fresh atoms planned once per call,
     against renaming each probe afresh and checking the whole concatenation:
-    atoms named in validators, keys and datums, validators that read the
-    whole spending transaction, queried atoms among the candidates'
-    positions, inadmissible probes and non-chunk candidates."""
+    support-free candidates, probed without a permutation, and candidates
+    with support, whose validators, keys and datums name atoms (fresh ones
+    and queried ones too); validators that read the whole spending
+    transaction, queried atoms among the candidates' positions, inadmissible
+    probes on both paths, and non-chunk candidates."""
     ch, model = case
     for probed in (ch, _indexed(ch)):
         assert blocked_utxi(probed, model) == _singleton_compose_blocked(ch, model, True)
@@ -311,3 +367,44 @@ def test_probe_plan_matches_singleton_reference(case):
     for atoms in (pos(ch), PROBE_POOL[:2]):
         got = [c.txs for c in renamed_probe_chunks(atoms, model)]
         assert got == _renamed_probe_chunks_reference(atoms, model)
+
+
+@given(probe_cases())
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_probes_check_no_chunk_after_the_model_is_built(case):
+    """Which candidates are chunks on their own is found when the model is
+    built; a blocked-channel query or probe closure never asks again."""
+    ch, model = case
+    calls = []
+    real = ieutxo.check_chunk
+    ieutxo.check_chunk = lambda txs: calls.append(txs) or real(txs)
+    try:
+        blocked_utxi(ch, model)
+        blocked_utxo(ch, model)
+        renamed_probe_chunks(pos(ch), model)
+    finally:
+        ieutxo.check_chunk = real
+    assert calls == []
+
+
+def test_cli_default_universe_matches_reference(tmp_path):
+    """A model file without probe candidates probes its enumeration, both
+    as a ``chunks:`` instance and for ``adjunction``, through a model built
+    with that universe."""
+    path = tmp_path / "model.json"
+    with open(fixture_path("blocked_model.json"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    del obj["probe_candidates"]
+    path.write_text(json.dumps(obj))
+    inst, elements = _resolve_instance(f"chunks:{path}", 200, 0)
+    model = inst.model
+    assert model.probe_candidates == model.transactions
+    with pytest.raises(FrozenInstanceError):
+        model.probe_candidates = ()
+    chunks = [x for x in elements if x is not FAIL]
+    assert len(chunks) > 3
+    for ch in chunks:
+        assert blocked_utxi(ch, model) == _singleton_compose_blocked(ch, model, True)
+        assert blocked_utxo(ch, model) == _singleton_compose_blocked(ch, model, False)
+    assert blocked_utxo(Chunk((model.transactions[0],)), model) == {"m"}
+    assert main(["adjunction", "--model", str(path), "--json"]) == 0

@@ -104,11 +104,13 @@ def test_distinct_positions_label_nothing(label_calls):
     for ch in chunks:
         ch.rename(atoms.swap("a", "b"))
     assert label_calls == []
-    # An acs_compose node labels its element once, for the hash it keeps;
-    # the sort labels nothing.
+    # Slots at distinct positions are distinct, so the sort does not even
+    # hash them: an acs_compose node is never asked for the hash it keeps.
     node = AcsCompose(EMPTY_CHUNK, None)
     Transaction([Input("a", EMPTY_CHUNK)], [Output("b", 0, Not(node)), Output("c", 0, node)])
     Transaction([Input("a", EMPTY_CHUNK)], [Output("b", 0, node)])
+    assert label_calls == []
+    hash(node)
     assert label_calls == ["value_label"]
     # A tie does label, so the counters see the sort.
     Transaction((), _TIED_OUTPUTS)
