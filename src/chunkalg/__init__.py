@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .acs import AcsArrow, AcsInstance, ChunkAcs, FiniteSetsAcs, SubstAcs
 from .atoms import Atom, Permutation, act, fresh_atoms, swap
-from .functors import check_adjunction, epsilon, eta, f_arrow, f_object, g_arrow, g_object
+from .functors import check_adjunction, eta, f_arrow, f_object, g_arrow, g_object
 from .generators import GenConfig
 from .ieutxo import (
     FAIL,
@@ -48,7 +48,6 @@ __all__ = [
     "SubstAcs",
     "GenConfig",
     "check_adjunction",
-    "epsilon",
     "eta",
     "f_arrow",
     "f_object",

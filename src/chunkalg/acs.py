@@ -142,7 +142,7 @@ def _sample_from(pool: list, n: int, seed: int, bot: Any, top: Any) -> list:
     for x in picked:
         if x not in out:
             out.append(x)
-    return out[:n] if n >= 2 else out[:n]
+    return out[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -567,4 +567,4 @@ def compose_acs_arrows(f: AcsArrow, g: AcsArrow) -> AcsArrow:
 
 def acs_arrows_equal(f: AcsArrow, g: AcsArrow) -> bool:
     """Arrow equality, decided on the source atomics."""
-    return all(fy == gy for (_, fy), (_, gy) in zip(f.atomic_table(), g.atomic_table()))
+    return f.atomic_table() == g.atomic_table()

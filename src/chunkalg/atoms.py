@@ -19,25 +19,24 @@ way :func:`act` renames.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping
+from typing import Any, Container, Iterable, Mapping
 
 Atom = str
 
 
-def fresh_atoms(n: int, avoid: Iterable[Atom], prefix: str = "z") -> list[Atom]:
+def fresh_atoms(n: int, avoid: Container[Atom], prefix: str = "z") -> list[Atom]:
     """Deterministically mint ``n`` atoms outside ``avoid``.
 
     Uses a monotone counter suffix, so the same request always yields the
-    same names.
+    same names.  The counter never repeats a name, so ``avoid`` is only
+    tested for membership, never copied.
     """
-    taken = set(avoid)
     out: list[Atom] = []
     counter = 1
     while len(out) < n:
         cand = f"{prefix}{counter}"
         counter += 1
-        if cand not in taken:
-            taken.add(cand)
+        if cand not in avoid:
             out.append(cand)
     return out
 

@@ -134,12 +134,14 @@ def cmd_ledger(args: argparse.Namespace) -> int:
         f"stx:  {sorted(spent)}",
         f"blockchain: {not unspent_in}",
     ]
-    probe_model = model
     if args.probe_file:
-        probe_model, _ = load_model(args.probe_file)
-    if probe_model is not None and probe_model.probe_candidates is not None:
-        payload["blocked_utxi"] = sorted(blocked_utxi(chunk, probe_model))
-        payload["blocked_utxo"] = sorted(blocked_utxo(chunk, probe_model))
+        # a probe file without candidates raises MissingProbeUniverse below
+        model, _ = load_model(args.probe_file)
+    elif model is not None and model.probe_candidates is None:
+        model = None
+    if model is not None:
+        payload["blocked_utxi"] = sorted(blocked_utxi(chunk, model))
+        payload["blocked_utxo"] = sorted(blocked_utxo(chunk, model))
         human.append(
             f"blocked: utxi={payload['blocked_utxi']} utxo={payload['blocked_utxo']}"
         )

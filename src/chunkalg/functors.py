@@ -9,11 +9,12 @@ interfaces, and a composition-probing validator on every output.  Two
 transactions of the represented model compose exactly when their elements
 do.
 
-The unit ``eta`` and counit ``epsilon`` tie the loop together: ``eta`` is a
-bijection between the chunks of a model and the chunks of its round-trip
-image, and ``epsilon`` collapses represented chunks back to products of
-their elements (a surjection; a bijection when the instance is perfectly
-atomic).  ``check_adjunction`` verifies all of it on finite samples.
+The unit and counit are maps of the represented model, ``GModel``.  The
+counit at an instance ``A``, read off G(A), collapses represented chunks
+back to products of their elements (a surjection; a bijection when the
+instance is perfectly atomic).  The unit at a model ``M``, read off
+G(F(M)) as ``eta`` builds it, is a bijection between the chunks of ``M``
+and those of its round trip.  ``check_adjunction`` verifies it all.
 """
 
 from __future__ import annotations
@@ -74,6 +75,14 @@ class GModel:
 
     ``tx_of`` and ``element_of`` are the two directions of the transaction
     assignment, which is injective because every slot carries its element.
+
+    The counit at ``inst`` is a map of G(inst) (``as_acs_arrow``):
+    ``on_element`` collapses a represented chunk to the product of its
+    elements.  When ``inst`` is a model's chunk system ``ChunkAcs(M)``,
+    G(inst) is G(F(M)) and the unit at ``M`` is a map of it too
+    (``as_arrow``): ``on_tx``, ``on_list``, ``on_chunk`` send ``M``'s
+    transactions to the represented transactions of their singleton chunks,
+    and ``inverse_chunk`` undoes ``on_chunk``.
     """
 
     inst: AcsInstance
@@ -89,6 +98,51 @@ class GModel:
             raise ModelError(
                 f"element not materialized in {self.model.name}: {self.inst.label(x)}"
             ) from None
+
+    def on_element(self, x: ChunkOrFail) -> Any:
+        if x is FAIL:
+            return self.inst.top
+        out = self.inst.bot
+        for tx in x.txs:
+            out = self.inst.mcompose(out, self.element_of[tx])
+        return out
+
+    def surjectivity_witness(self, x: Any) -> ChunkOrFail:
+        """A represented chunk mapping to ``x``; exists for every element
+        whose factors are materialized."""
+        if self.inst.is_top(x):
+            return FAIL
+        return Chunk(tuple(self.transaction(y) for y in self.inst.factor(x)))
+
+    def as_acs_arrow(self) -> AcsArrow:
+        return AcsArrow(
+            ChunkAcs(self.model),
+            self.inst,
+            self.on_element,
+            tag=f"epsilon({self.inst.name})",
+        )
+
+    def on_tx(self, tx: Transaction) -> Chunk:
+        return Chunk((self.transaction(Chunk((tx,))),))
+
+    def on_list(self, txs: Sequence[Transaction]) -> tuple[Transaction, ...]:
+        return tuple(self.transaction(Chunk((tx,))) for tx in txs)
+
+    def on_chunk(self, x: ChunkOrFail) -> ChunkOrFail:
+        if x is FAIL:
+            return FAIL
+        return Chunk(self.on_list(x.txs))
+
+    def inverse_chunk(self, x: ChunkOrFail) -> ChunkOrFail:
+        if x is FAIL:
+            return FAIL
+        parts = [self.element_of[tx] for tx in x.txs]  # singleton chunks
+        return Chunk(tuple(tx for part in parts for tx in part.txs))
+
+    def as_arrow(self) -> IeutxoArrow:
+        source = self.inst.model
+        table = {tx: self.on_tx(tx) for tx in source.transactions}
+        return IeutxoArrow(source, self.model, table)
 
 
 def g_object(inst: AcsInstance, atomics: Optional[Sequence] = None) -> GModel:
@@ -134,82 +188,12 @@ def g_arrow(g: AcsArrow, gm_src: GModel, gm_tgt: GModel) -> IeutxoArrow:
 
 
 # ---------------------------------------------------------------------------
-# Unit and counit
+# Unit
 
 
-@dataclass(eq=False)
-class EtaMap:
-    """The unit: transactions of a model to singleton chunks of its round-trip."""
-
-    model: IeutxoModel
-    facs: ChunkAcs
-    gmodel: GModel
-
-    def on_tx(self, tx: Transaction) -> Chunk:
-        return Chunk((self.gmodel.transaction(Chunk((tx,))),))
-
-    def on_list(self, txs: Sequence[Transaction]) -> tuple[Transaction, ...]:
-        return tuple(self.gmodel.transaction(Chunk((tx,))) for tx in txs)
-
-    def on_chunk(self, x: ChunkOrFail) -> ChunkOrFail:
-        if x is FAIL:
-            return FAIL
-        return Chunk(self.on_list(x.txs))
-
-    def inverse_chunk(self, x: ChunkOrFail) -> ChunkOrFail:
-        if x is FAIL:
-            return FAIL
-        parts = [self.gmodel.element_of[tx] for tx in x.txs]  # singleton chunks
-        return Chunk(tuple(tx for part in parts for tx in part.txs))
-
-    def as_arrow(self) -> IeutxoArrow:
-        table = {tx: self.on_tx(tx) for tx in self.model.transactions}
-        return IeutxoArrow(self.model, self.gmodel.model, table)
-
-
-def eta(model: IeutxoModel, gmodel: Optional[GModel] = None) -> EtaMap:
-    facs = ChunkAcs(model)
-    if gmodel is None:
-        gmodel = g_object(facs)
-    return EtaMap(model, facs, gmodel)
-
-
-@dataclass(eq=False)
-class EpsilonMap:
-    """The counit: represented chunks collapse to products of their elements."""
-
-    inst: AcsInstance
-    gmodel: GModel
-
-    def on_element(self, x: ChunkOrFail) -> Any:
-        if x is FAIL:
-            return self.inst.top
-        out = self.inst.bot
-        for tx in x.txs:
-            out = self.inst.mcompose(out, self.gmodel.element_of[tx])
-        return out
-
-    def surjectivity_witness(self, x: Any) -> ChunkOrFail:
-        """A represented chunk mapping to ``x``; exists for every element
-        whose factors are materialized."""
-        if self.inst.is_top(x):
-            return FAIL
-        parts = [self.gmodel.transaction(y) for y in self.inst.factor(x)]
-        return Chunk(tuple(parts))
-
-    def as_acs_arrow(self) -> AcsArrow:
-        return AcsArrow(
-            ChunkAcs(self.gmodel.model),
-            self.inst,
-            self.on_element,
-            tag=f"epsilon({self.inst.name})",
-        )
-
-
-def epsilon(inst: AcsInstance, gmodel: Optional[GModel] = None) -> EpsilonMap:
-    if gmodel is None:
-        gmodel = g_object(inst)
-    return EpsilonMap(inst, gmodel)
+def eta(model: IeutxoModel) -> GModel:
+    """The unit at ``model``, as G(F(model)): see :class:`GModel`."""
+    return g_object(ChunkAcs(model))
 
 
 # ---------------------------------------------------------------------------
@@ -235,17 +219,20 @@ def check_adjunction(
     identity holds, and represented transactions compose exactly when their
     elements do.  The factorisation used by the represented arrows is the
     instance's own ``factor``; reports carry the materialization boundary.
+
+    Each represented model, G(F(model)), G(inst) and G(F(G(inst))), is
+    built once per call; the naturality squares look arrow endpoints up by
+    identity, so the default identity arrows reuse them.
     """
     rng = random.Random(seed)
     report = AxiomReport(f"{model.name}|{inst.name}", "adjunction")
 
     # ---- model side -------------------------------------------------
     et = eta(model)
-    gf_model = et.gmodel.model
 
     bij = report.law("eta_bijective_on_chunks")
     chunks_src = list(enumerate_chunks(model))
-    chunks_tgt = {c.txs for c in enumerate_chunks(gf_model)}
+    chunks_tgt = {c.txs for c in enumerate_chunks(et.model)}
     images = [et.on_chunk(c) for c in chunks_src]
     bij.check(len({im.txs for im in images}) == len(images), "unit not injective")
     bij.check(
@@ -264,25 +251,27 @@ def check_adjunction(
         )
 
     pure = report.law("round_trip_model_point_local")
-    pure.check(is_iutxo_model(gf_model), "round-trip model has non-local validators")
+    pure.check(is_iutxo_model(et.model), "round-trip model has non-local validators")
 
     tri_f = report.law("triangle_counit_after_unit_image")
-    eps_ft = epsilon(et.facs, et.gmodel)
     feta = f_arrow(et.as_arrow())
-    for x in et.facs.sample_elements(samples, seed + 1):
+    for x in et.inst.sample_elements(samples, seed + 1):
         tri_f.check(
-            eps_ft.on_element(feta(x)) == x,
-            f"triangle fails at {et.facs.label(x)}",
+            et.on_element(feta(x)) == x,
+            f"triangle fails at {et.inst.label(x)}",
         )
 
     nat = report.law("eta_natural")
     arrows = list(model_arrows) if model_arrows is not None else []
     if not arrows:
         arrows = [identity_arrow(model)]
+    units = {model: et}
     for f in arrows:
-        et_src = eta(f.source)
-        et_tgt = eta(f.target)
-        gff = g_arrow(f_arrow(f), et_src.gmodel, et_tgt.gmodel)
+        for m in (f.source, f.target):
+            if m not in units:
+                units[m] = eta(m)
+        et_src, et_tgt = units[f.source], units[f.target]
+        gff = g_arrow(f_arrow(f), et_src, et_tgt)
         lhs = {tx: et_tgt.on_chunk(f(tx)) for tx in f.source.transactions}
         rhs = {
             tx: arrow_apply(gff, et_src.on_tx(tx)) for tx in f.source.transactions
@@ -291,13 +280,12 @@ def check_adjunction(
 
     # ---- instance side ----------------------------------------------
     gm = g_object(inst)
-    eps = epsilon(inst, gm)
 
     surj = report.law("epsilon_surjective")
     elements = inst.sample_elements(samples, seed + 2)
     for x in elements:
-        w = eps.surjectivity_witness(x)
-        surj.check(eps.on_element(w) == x, f"no witness for {inst.label(x)}")
+        w = gm.surjectivity_witness(x)
+        surj.check(gm.on_element(w) == x, f"no witness for {inst.label(x)}")
 
     hom = report.law("epsilon_monoid_map")
     fg = ChunkAcs(gm.model)
@@ -306,8 +294,8 @@ def check_adjunction(
         u = fg_elems[rng.randrange(len(fg_elems))]
         v = fg_elems[rng.randrange(len(fg_elems))]
         hom.check(
-            eps.on_element(fg.mcompose(u, v))
-            == inst.mcompose(eps.on_element(u), eps.on_element(v)),
+            gm.on_element(fg.mcompose(u, v))
+            == inst.mcompose(gm.on_element(u), gm.on_element(v)),
             "counit is not a monoid map",
         )
 
@@ -329,26 +317,27 @@ def check_adjunction(
     g_arrows = list(acs_arrows) if acs_arrows is not None else []
     if not g_arrows:
         g_arrows = [identity_acs_arrow(inst)]
+    counits = {inst: gm}
     for g in g_arrows:
-        gm_src = g_object(g.source)
-        gm_tgt = g_object(g.target)
+        for i in (g.source, g.target):
+            if i not in counits:
+                counits[i] = g_object(i)
+        gm_src, gm_tgt = counits[g.source], counits[g.target]
         try:
             fgg = f_arrow(g_arrow(g, gm_src, gm_tgt))
         except ModelError:
             eps_nat.check(False, "represented arrow not materialized")
             continue
-        eps_src = epsilon(g.source, gm_src)
-        eps_tgt = epsilon(g.target, gm_tgt)
         for a in ChunkAcs(gm_src.model).atomic_elements():
             eps_nat.check(
-                eps_tgt.on_element(fgg(a)) == g(eps_src.on_element(a)),
+                gm_tgt.on_element(fgg(a)) == g(gm_src.on_element(a)),
                 "counit naturality square does not commute",
             )
 
     tri_g = report.law("triangle_unit_after_represented_counit")
     try:
         et_g = eta(gm.model)
-        geps = g_arrow(eps.as_acs_arrow(), et_g.gmodel, gm)
+        geps = g_arrow(gm.as_acs_arrow(), et_g, gm)
         composite = arrow_compose(et_g.as_arrow(), geps)
         tri_g.check(
             arrows_equal(composite, identity_arrow(gm.model)),
@@ -360,7 +349,7 @@ def check_adjunction(
     if strict:
         bij_eps = report.law("epsilon_bijective_strict")
         fg_all = fg.enumerate_elements()
-        mapped = [eps.on_element(x) for x in fg_all]
+        mapped = [gm.on_element(x) for x in fg_all]
         bij_eps.check(
             len(set(map(inst.label, mapped))) == len(mapped),
             "counit not injective on enumerated round-trip elements",
@@ -419,8 +408,8 @@ def iutxo_embedding_check(model: IeutxoModel, seed: int = 0, samples: int = 60) 
     iso = report.law("round_trip_isomorphic")
     chunks_src = {c.txs for c in enumerate_chunks(model)}
     chunks_img = {et.on_chunk(Chunk(c)).txs for c in chunks_src}
-    chunks_tgt = {c.txs for c in enumerate_chunks(et.gmodel.model)}
+    chunks_tgt = {c.txs for c in enumerate_chunks(et.model)}
     iso.check(chunks_img == chunks_tgt, "round-trip chunk sets differ")
-    iso.check(is_iutxo_model(et.gmodel.model), "round-trip not point-local")
+    iso.check(is_iutxo_model(et.model), "round-trip not point-local")
 
     return report

@@ -763,13 +763,15 @@ def _probe_plan(
     Made once per call, not once per probe: the other positions go to
     atoms minted outside ``avoid`` and the candidate's positions, and every
     queried atom lies in ``avoid``, so the fresh atoms do not depend on the
-    queried atom or on the slot.
+    queried atom or on the slot.  Of the ``2 * len(cpos) - 1`` atoms minted
+    outside ``avoid``, at most ``len(cpos)`` are the candidate's own, so
+    dropping those leaves enough, with no copy of ``avoid``.
     """
     if model._probes is None:
         raise MissingProbeUniverse(model.name)
     plan = []
     for cand, cpos, support_free in model._probes:
-        fresh = fresh_atoms(len(cpos) - 1, avoid.union(cpos))
+        fresh = [a for a in fresh_atoms(2 * len(cpos) - 1, avoid) if a not in cpos]
         for slot in sorted(slots(cand), key=_position):
             others = [p for p in cpos if p != slot.position]
             plan.append((cand, slot, dict(zip(others, fresh)), support_free))

@@ -193,3 +193,14 @@ def test_acs_arrows(fs):
     assert tabled(AB) == AB  # {a}·{b} maps to {b}·{a} = {a,b}
     both = compose_acs_arrows(perm, perm)
     assert acs_arrows_equal(both, ident)
+
+
+def test_acs_arrows_equal_compares_atomics_too():
+    """Equal images on different source atomics, or a table that is a
+    prefix of the other, are different arrows."""
+    one, two = FiniteSetsAcs(("a",)), FiniteSetsAcs(("a", "b"))
+    assert not acs_arrows_equal(identity_acs_arrow(one), identity_acs_arrow(two))
+    assert not acs_arrows_equal(identity_acs_arrow(two), identity_acs_arrow(one))
+    b_to_a = acs_arrow_from_atomic_table(FiniteSetsAcs(("b",)), one, {B: A})
+    assert not acs_arrows_equal(b_to_a, identity_acs_arrow(one))
+    assert acs_arrows_equal(identity_acs_arrow(two), identity_acs_arrow(FiniteSetsAcs(("b", "a"))))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from chunkalg import functors, ieutxo
 from chunkalg.acs import ChunkAcs, FiniteSetsAcs, Fn, SubstAcs, perm_acs_arrow
 from chunkalg.atoms import Permutation
 from chunkalg.functors import NotIutxo, check_adjunction, iutxo_embedding_check
@@ -41,6 +42,33 @@ def test_adjunction_strict_mode_on_chunks(backbone_model):
     report = check_adjunction(backbone_model, inst, seed=3, samples=25, strict=True)
     assert report.ok, [r.to_obj() for r in report.results if not r.ok]
     assert report.result("epsilon_bijective_strict").ok
+
+
+def test_each_represented_model_is_built_once_per_verdict(backbone_model, monkeypatch):
+    """G(F(model)), G(inst) and G(F(G(inst))) are built once each: the
+    default identity arrows, and a supplied arrow given twice, reuse them,
+    and so reuse their blocked-channel analysis."""
+    counts = {"g_object": 0, "_blocked": 0}
+
+    def count_calls(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count_calls(functors, "g_object")
+    count_calls(ieutxo, "_blocked")
+    ident = identity_arrow(backbone_model)
+    for options in ({"strict": True}, {"model_arrows": [ident, ident]}):
+        counts.update(g_object=0, _blocked=0)
+        report = check_adjunction(
+            backbone_model, ChunkAcs(backbone_model), seed=1, samples=40, **options
+        )
+        assert report.ok, options
+        assert counts == {"g_object": 3, "_blocked": 24}, options
 
 
 def test_adjunction_reports_every_law(pair_model):

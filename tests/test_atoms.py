@@ -84,6 +84,37 @@ def test_fresh_atoms_avoid_and_determinism():
     assert fresh_atoms(3, ["z1", "z3"]) == got
 
 
+def _fresh_atoms_copying(n, avoid, prefix="z"):
+    """The body ``fresh_atoms`` had when it copied ``avoid`` into a set."""
+    taken = set(avoid)
+    out = []
+    counter = 1
+    while len(out) < n:
+        cand = f"{prefix}{counter}"
+        counter += 1
+        if cand not in taken:
+            taken.add(cand)
+            out.append(cand)
+    return out
+
+
+counter_names = st.builds(
+    "{}{}".format, st.sampled_from(["z", "w", "v", "zz"]), st.integers(0, 12)
+)
+
+
+@given(
+    st.integers(0, 8),
+    st.lists(st.one_of(counter_names, atoms)),
+    st.sampled_from(["z", "w", "v", "zz"]),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_fresh_atoms_matches_copying_reference(n, avoid, prefix, as_set):
+    avoid = frozenset(avoid) if as_set else avoid
+    assert fresh_atoms(n, avoid, prefix) == _fresh_atoms_copying(n, avoid, prefix)
+
+
 def test_act_on_containers():
     p = swap("a", "b")
     assert act(p, "a") == "b"

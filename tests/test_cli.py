@@ -194,6 +194,31 @@ def test_ledger_json_with_probe_universe(capsys, tmp_path):
                              "status": "ok"}) + "\n"
 
 
+def test_ledger_probe_file_without_candidates_is_refused(capsys, tmp_path):
+    """``--probe-file`` names the probe universe, so a model that declares
+    none is refused with exit 2; a chunk file's own model without
+    candidates still gives the ledger without blocked sets."""
+    with open(fixture_path("backbone_model.json")) as fh:
+        model = json.load(fh)
+    del model["probe_candidates"]
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    (tmp_path / "chunk.json").write_text(
+        json.dumps({"model_file": "model.json", "transactions": [model["transactions"][0]["name"]]})
+    )
+    for argv in (
+        [fixture_path("backbone_34.json"), "--probe-file", str(tmp_path / "model.json")],
+        [str(tmp_path / "chunk.json"), "--probe-file", str(tmp_path / "model.json")],
+    ):
+        for fmt in ([], ["--json"]):
+            assert main(["ledger", *argv, *fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"missing probe universe for model {model['name']}\n"
+    code, report = run_json(capsys, "ledger", str(tmp_path / "chunk.json"))
+    assert code == 0
+    assert "blocked_utxi" not in report["payload"] and "blocked_utxo" not in report["payload"]
+
+
 def test_commute_disjoint(capsys):
     code, report = run_json(
         capsys,

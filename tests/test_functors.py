@@ -14,7 +14,6 @@ from chunkalg.acs import (
     identity_acs_arrow,
 )
 from chunkalg.functors import (
-    epsilon,
     eta,
     f_arrow,
     f_object,
@@ -200,12 +199,12 @@ def test_eta_bijective_on_enumerated_chunks(pair_model):
     src = list(enumerate_chunks(pair_model))
     images = {et.on_chunk(c).txs for c in src}
     assert len(images) == len(src)
-    assert images == {c.txs for c in enumerate_chunks(et.gmodel.model)}
+    assert images == {c.txs for c in enumerate_chunks(et.model)}
 
 
 def test_epsilon_map():
     fs = FiniteSetsAcs(("a", "b", "c"))
-    eps = epsilon(fs)
+    eps = g_object(fs)
     assert eps.on_element(EMPTY_CHUNK) == fs.bot
     assert eps.on_element(FAIL) == fs.top
     w = eps.surjectivity_witness(frozenset("ab"))
@@ -217,15 +216,14 @@ def test_epsilon_map():
 def test_epsilon_round_trip_through_eta(backbone_model):
     """The counit undoes the unit's image chunkwise."""
     et = eta(backbone_model)
-    eps = epsilon(et.facs, et.gmodel)
     for ch in list(enumerate_chunks(backbone_model))[:15]:
-        assert eps.on_element(et.on_chunk(ch)) == ch
+        assert et.on_element(et.on_chunk(ch)) == ch
 
 
 def test_epsilon_is_monoid_map():
     fs = FiniteSetsAcs(("a", "b"))
-    eps = epsilon(fs)
-    fg = ChunkAcs(eps.gmodel.model)
+    eps = g_object(fs)
+    fg = ChunkAcs(eps.model)
     elems = fg.enumerate_elements()
     for u in elems:
         for v in elems:
