@@ -179,7 +179,7 @@ def monoid_axiom_check(
 
     rng = random.Random(seed + 3)
     n = len(samples)
-    for _ in range(list_samples):
+    for _ in range(list_samples if n else 0):
         k = rng.randint(2, 5)
         xs = [samples[rng.randrange(n)] for _ in range(k)]
         prod = xs[0]
@@ -411,13 +411,12 @@ def derived_orientation(
     return frozenset(left), frozenset(right), frozenset(p_x - left - right)
 
 
-def validate_posi_oracle(
-    inst: AcsInstance,
-    samples: Sequence,
-    seed: int = 0,
-    perms_per_atom: int = 5,
-    outside_atoms: int = 2,
-) -> AxiomReport:
+# Sampled permutations fixing each posi atom, and atoms outside posi tried.
+PERMS_PER_ATOM = 5
+OUTSIDE_ATOMS = 2
+
+
+def validate_posi_oracle(inst: AcsInstance, samples: Sequence, seed: int = 0) -> AxiomReport:
     """Test the posi oracle against its behavioural definition.
 
     For ``a`` in ``posi(x)``, every permutation fixing ``a`` must yield a
@@ -436,7 +435,7 @@ def validate_posi_oracle(
         if not interface:
             continue
         for a in interface:
-            for _ in range(perms_per_atom):
+            for _ in range(PERMS_PER_ATOM):
                 perm = _random_perm_fixing(rng, a, interface)
                 moved = inst.act(perm, x)
                 clash.check(
@@ -444,7 +443,7 @@ def validate_posi_oracle(
                     and inst.is_top(inst.mcompose(moved, x)),
                     x,
                 )
-        for b in fresh_atoms(outside_atoms, interface, prefix="w"):
+        for b in fresh_atoms(OUTSIDE_ATOMS, interface, prefix="w"):
             targets = fresh_atoms(len(interface), set(interface) | {b})
             perm = Permutation.extending(dict(zip(interface, targets)))
             moved = inst.act(perm, x)

@@ -3,9 +3,12 @@
 Subcommands: ``validate``, ``ledger``, ``commute``, ``acs-check``,
 ``adjunction``, ``church-rosser``.  Every command emits a deterministic JSON
 report (``--json``) or a human-readable summary; randomized commands echo
-their seed so a run can be reproduced from its report.  Exit codes: 0 on
+their seed so a run can be reproduced from its report, and take a positive
+``--samples``.  ``ledger`` adds the blocked sets when the chunk file names
+a model or ``--probe-file`` gives one, probing with that model's universe
+(its enumeration unless it declares candidates).  Exit codes: 0 on
 success / all checks passing, 1 on violations or failed checks, 2 on parse
-errors, 3 on I/O errors.
+and usage errors, 3 on I/O errors.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from typing import Optional
 
 from . import __version__
@@ -30,7 +32,6 @@ from .ieutxo import (
     FAIL,
     Chunk,
     ChunkReport,
-    MissingProbeUniverse,
     NotAChunk,
     blocked_utxi,
     blocked_utxo,
@@ -57,6 +58,16 @@ def _seed_from(args: argparse.Namespace) -> int:
         except ValueError:
             raise ParseError(f"CHUNKALG_SEED must be an integer, got {env!r}")
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _report(command: str, status: str, payload: dict, seed: Optional[int] = None) -> dict:
@@ -135,10 +146,7 @@ def cmd_ledger(args: argparse.Namespace) -> int:
         f"blockchain: {not unspent_in}",
     ]
     if args.probe_file:
-        # a probe file without candidates raises MissingProbeUniverse below
         model, _ = load_model(args.probe_file)
-    elif model is not None and model.probe_candidates is None:
-        model = None
     if model is not None:
         payload["blocked_utxi"] = sorted(blocked_utxi(chunk, model))
         payload["blocked_utxo"] = sorted(blocked_utxo(chunk, model))
@@ -196,8 +204,6 @@ def _resolve_instance(spec: str, samples: int, seed: int) -> tuple[AcsInstance, 
         return inst, carrier
     if spec.startswith("chunks:"):
         model, _ = load_model(spec.split(":", 1)[1])
-        if model.probe_candidates is None:
-            model = replace(model, probe_candidates=model.transactions)
         inst = ChunkAcs(model)
         return inst, inst.sample_elements(samples, seed)
     raise ParseError(
@@ -236,12 +242,8 @@ def cmd_acs_check(args: argparse.Namespace) -> int:
 
 def cmd_adjunction(args: argparse.Namespace) -> int:
     seed = _seed_from(args)
-    probe_defaulted = False
     if args.model:
         model, _ = load_model(args.model)
-        if model.probe_candidates is None:
-            model = replace(model, probe_candidates=model.transactions)
-            probe_defaulted = True
     else:
         cfg = GenConfig(seed=seed, max_txs=4)
         model = gen_model(cfg, stream(cfg), name=f"gen{seed}")
@@ -250,8 +252,6 @@ def cmd_adjunction(args: argparse.Namespace) -> int:
         model, inst, seed=seed, samples=args.samples, strict=args.strict
     )
     payload = adjunction_payload(report, model, inst)
-    if probe_defaulted:
-        payload["probe_universe_defaulted_to_enumeration"] = True
     ok = report.ok
     human = [f"model {model.name}: adjunction {'pass' if ok else 'FAIL'}"]
     for law in report.results:
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit the JSON report")
         if seeded:
             p.add_argument("--seed", type=int, default=None, help="RNG seed (or CHUNKALG_SEED)")
-            p.add_argument("--samples", type=int, default=200, help="sample count")
+            p.add_argument("--samples", type=_positive_int, default=200, help="sample count (positive)")
 
     p = sub.add_parser("validate", help="check a transaction list file")
     p.add_argument("file")
@@ -360,9 +360,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except MissingProbeUniverse as exc:
-        print(f"missing probe universe for model {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

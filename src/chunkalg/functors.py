@@ -1,7 +1,8 @@
 """The functors between transaction models and abstract chunk systems.
 
-``f_object`` sends a model to its chunk system (chunks plus the failure
-top); ``f_arrow`` extends a transaction table to chunks transactionwise.
+``f_object`` sends every model to its chunk system (chunks plus the
+failure top; every model has a probe universe, so the orientation is
+defined); ``f_arrow`` extends a transaction table to chunks transactionwise.
 ``g_object`` represents an abstract chunk system concretely: each
 materialized atomic element ``x`` becomes a transaction carrying ``x`` on
 every slot, with inputs on the left interface, outputs on the right and up
@@ -13,8 +14,9 @@ The unit and counit are maps of the represented model, ``GModel``.  The
 counit at an instance ``A``, read off G(A), collapses represented chunks
 back to products of their elements (a surjection; a bijection when the
 instance is perfectly atomic).  The unit at a model ``M``, read off
-G(F(M)) as ``eta`` builds it, is a bijection between the chunks of ``M``
-and those of its round trip.  ``check_adjunction`` verifies it all.
+G(F(M)) as ``eta`` builds it at every model, is a bijection between the
+chunks of ``M`` and those of its round trip.  ``check_adjunction``
+verifies it all.
 """
 
 from __future__ import annotations
@@ -165,12 +167,7 @@ def g_object(inst: AcsInstance, atomics: Optional[Sequence] = None) -> GModel:
         tx = Transaction(ins, outs)
         tx_of[x] = tx
         element_of[tx] = x
-    txs = tuple(tx_of[x] for x in atomics)
-    model = IeutxoModel(
-        name=f"G({inst.name})",
-        transactions=txs,
-        probe_candidates=txs,
-    )
+    model = IeutxoModel(f"G({inst.name})", tuple(tx_of[x] for x in atomics))
     return GModel(inst, atomics, model, tx_of, element_of)
 
 
@@ -221,14 +218,17 @@ def check_adjunction(
     instance's own ``factor``; reports carry the materialization boundary.
 
     Each represented model, G(F(model)), G(inst) and G(F(G(inst))), is
-    built once per call; the naturality squares look arrow endpoints up by
-    identity, so the default identity arrows reuse them.
+    built once per call, and when ``inst`` is ``model``'s own chunk system
+    G(F(model)) is built from it and serves as G(inst) too; the naturality
+    squares look arrow endpoints up by identity, so the default identity
+    arrows reuse them.
     """
     rng = random.Random(seed)
     report = AxiomReport(f"{model.name}|{inst.name}", "adjunction")
 
     # ---- model side -------------------------------------------------
-    et = eta(model)
+    own = isinstance(inst, ChunkAcs) and inst.model is model
+    et = g_object(inst) if own else eta(model)
 
     bij = report.law("eta_bijective_on_chunks")
     chunks_src = list(enumerate_chunks(model))
@@ -279,7 +279,7 @@ def check_adjunction(
         nat.check(lhs == rhs, "unit naturality square does not commute")
 
     # ---- instance side ----------------------------------------------
-    gm = g_object(inst)
+    gm = et if own else g_object(inst)
 
     surj = report.law("epsilon_surjective")
     elements = inst.sample_elements(samples, seed + 2)

@@ -306,11 +306,7 @@ def gen_model(
             txs.append(_maybe_impure(tx, cfg, rng))
     if not txs:
         raise BoundsTooTight("could not build any transaction within bounds")
-    return IeutxoModel(
-        name=name or f"gen{cfg.seed}",
-        transactions=tuple(txs),
-        probe_candidates=tuple(txs),
-    )
+    return IeutxoModel(name or f"gen{cfg.seed}", tuple(txs))
 
 
 def _maybe_impure(tx: Transaction, cfg: GenConfig, rng: random.Random) -> Transaction:
@@ -381,11 +377,7 @@ def gen_arrow(
         if not renamed:
             renamed = [source.transactions[0].rename(perm)]
             table[source.transactions[0]] = Chunk((renamed[0],))
-        target = IeutxoModel(
-            name=f"{source.name}-img",
-            transactions=tuple(dict.fromkeys(renamed)),
-            probe_candidates=tuple(dict.fromkeys(renamed)),
-        )
+        target = IeutxoModel(f"{source.name}-img", tuple(dict.fromkeys(renamed)))
     else:
         missing = [tx for tx in renamed if tx not in target.transactions]
         if missing:

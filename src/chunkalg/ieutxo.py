@@ -24,18 +24,18 @@ composition with the absorbing :data:`FAIL` element turns the chunk set into
 a monoid with an explicit failure top.  A *blockchain* is a chunk with no
 unspent inputs.
 
-Blocked-channel analysis probes each unspent input or output with declared
-candidate transactions, renamed so that one slot lands on the queried
-position and every other position is fresh.  Freshness shrinks the seam to
-that one position, so each probe comes down to one validator call; the
-fresh atoms are minted once per call, since they need only avoid the
-chunk's positions and the candidate's own.  Renaming is equivariant, and a
-permutation that fixes a value's support (the atoms it mentions, its
-``support()``) leaves the value unchanged.  So a candidate whose keys,
-datums and validators mention no atom is probed by moving its positions
-alone; only a candidate with support is renamed by a permutation.  Which
-candidates are chunks on their own, and which are support-free, is found
-once, when the model is built.
+Blocked-channel analysis probes each unspent input or output with the
+model's probe candidates (its enumeration unless it declares others),
+renamed so that one slot lands on the queried position and every other
+position is fresh.  Freshness shrinks the seam to that one position, so
+each probe comes down to one validator call; the fresh atoms are minted
+once per call, since they need only avoid the chunk's positions and the
+candidate's own.  Renaming is equivariant, and a permutation that fixes a
+value's support (the atoms it mentions, its ``support()``) leaves the
+value unchanged.  So a candidate whose keys, datums and validators mention
+no atom is probed by moving its positions alone; only a candidate with
+support is renamed by a permutation.  Which candidates are chunks on their
+own, and which are support-free, is found once, when the model is built.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ class NotAChunk(Exception):
 
 class NotAnArrow(Exception):
     """A transaction table violates the arrow condition."""
-
-
-class MissingProbeUniverse(Exception):
-    """Blocked-channel analysis needs declared probe candidates."""
 
 
 class ModelError(ValueError):
@@ -661,14 +657,14 @@ def _probe_facts(tx: Transaction) -> Optional[tuple[Transaction, tuple[Atom, ...
 
 @dataclass(frozen=True, eq=False)
 class IeutxoModel:
-    """A finitely-presented model: named transaction enumeration plus options.
+    """A finitely-presented model: a named transaction enumeration and its
+    probe universe.
 
-    ``admissible`` restricts which transactions belong to the model (default:
-    all nonempty ones); ``probe_candidates`` is the declared universe for
-    blocked-channel analysis, closed under position renaming by the analysis
-    itself.  Enumerated transactions must be nonempty, singleton-valid
-    (disjoint input and output channels, so the identity arrow exists) and
-    pairwise distinct.
+    ``probe_candidates`` is the universe for blocked-channel analysis,
+    closed under position renaming by the analysis itself; it defaults to
+    the enumeration, so every model has one.  Enumerated transactions must
+    be nonempty, singleton-valid (disjoint input and output channels, so
+    the identity arrow exists) and pairwise distinct.
 
     The model is immutable: the probe candidates that are chunks on their
     own, with their positions and whether they are support-free, are found
@@ -679,9 +675,8 @@ class IeutxoModel:
 
     name: str
     transactions: TxList = ()
-    admissible: Optional[Callable[[Transaction], bool]] = None
     probe_candidates: Optional[TxList] = None
-    _probes: Optional[tuple] = field(default=None, init=False, repr=False)
+    _probes: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "transactions", tuple(self.transactions))
@@ -694,20 +689,13 @@ class IeutxoModel:
                     "enumerated transactions must be chunks on their own "
                     "(disjoint input/output channels, distinct positions)"
                 )
-            if self.admissible is not None and not self.admissible(tx):
-                raise ModelError("enumerated transaction fails the admissible predicate")
             if tx in seen:
                 raise ModelError("duplicate transaction in model enumeration")
             seen.add(tx)
-        if self.probe_candidates is not None:
-            cands = tuple(self.probe_candidates)
-            object.__setattr__(self, "probe_candidates", cands)
-            object.__setattr__(self, "_probes", tuple(filter(None, map(_probe_facts, cands))))
-
-    def is_admissible(self, tx: Transaction) -> bool:
-        if tx.is_empty():
-            return False
-        return self.admissible is None or self.admissible(tx)
+        cands = self.probe_candidates
+        cands = self.transactions if cands is None else tuple(cands)
+        object.__setattr__(self, "probe_candidates", cands)
+        object.__setattr__(self, "_probes", tuple(filter(None, map(_probe_facts, cands))))
 
 
 def enumerate_chunks(
@@ -767,8 +755,6 @@ def _probe_plan(
     outside ``avoid``, at most ``len(cpos)`` are the candidate's own, so
     dropping those leaves enough, with no copy of ``avoid``.
     """
-    if model._probes is None:
-        raise MissingProbeUniverse(model.name)
     plan = []
     for cand, cpos, support_free in model._probes:
         fresh = [a for a in fresh_atoms(2 * len(cpos) - 1, avoid) if a not in cpos]
@@ -821,9 +807,7 @@ def _blocked(ch: Chunk, model: IeutxoModel, inputs: bool) -> frozenset[Atom]:
     ``a`` alone, and by locality the concatenation is a chunk exactly when
     the output at ``a`` accepts the input at ``a``: one validator call, with
     no index or seam check.  The whole renamed probe is built only where it
-    is read: as the spender's context at an unspent output, and for the
-    model's admissible predicate, which an unspent input's probe meets only
-    after its renamed output has accepted.
+    is read: as the spender's context at an unspent output.
 
     A permutation that fixes a value's support leaves the value unchanged,
     so a support-free candidate (see :func:`_probe_facts`) keeps its keys,
@@ -841,13 +825,11 @@ def _blocked(ch: Chunk, model: IeutxoModel, inputs: bool) -> frozenset[Atom]:
             spender = PointedTransaction(*ix.ins[a])
             return any(
                 validates(rename(slot), spender)
-                and (model.admissible is None or model.is_admissible(rename(cand)))
-                for cand, slot, rename in _renamed_probes(plan, a)
+                for _, slot, rename in _renamed_probes(plan, a)
             )
         out = ix.outs[a]
         return any(
-            model.is_admissible(probe := rename(cand))
-            and validates(out, PointedTransaction(probe, rename(slot)))
+            validates(out, PointedTransaction(rename(cand), rename(slot)))
             for cand, slot, rename in _renamed_probes(plan, a)
         )
 
@@ -858,7 +840,7 @@ def blocked_utxi(ch: Chunk, model: IeutxoModel) -> frozenset[Atom]:
     """Unspent inputs that no candidate chunk can ever connect to.
 
     The quantification over all chunks of the model is approximated by the
-    declared probe universe closed under renaming of non-queried positions.
+    model's probe universe closed under renaming of non-queried positions.
     Single-transaction probes suffice because validity is local, and a
     probe whose other positions are fresh meets the chunk at the queried
     input alone, so each probe costs one validator call (see
@@ -880,15 +862,14 @@ def renamed_probe_chunks(
     Every candidate slot (input or output) is retargeted onto every queried
     atom with the remaining positions fresh, giving the singleton chunks
     that can possibly connect there.  Candidates that are not chunks on
-    their own, or stop being admissible under renaming, are skipped.
+    their own are skipped.
     """
     avoid = frozenset(atoms)
     plan = _probe_plan(model, avoid, lambda c: c.inputs + c.outputs)
     return [
-        Chunk._trusted((probe,))
+        Chunk._trusted((rename(cand),))
         for a in sorted(avoid)
         for cand, _, rename in _renamed_probes(plan, a)
-        if model.is_admissible(probe := rename(cand))
     ]
 
 

@@ -6,7 +6,8 @@ Model file::
      "transactions": [{"name": "tx1", "inputs": [{"pos": "a", "key": "x1"}],
                        "outputs": [{"pos": "d", "datum": 1,
                                     "validator": {"node": "accept_all"}}]}],
-     "probe_candidates": ["tx1", ...]}        # names or inline transactions
+     "probe_candidates": ["tx1", ...]}        # names or inline transactions;
+                                              # omitted: the transactions
 
 Chunk file: either a bare JSON array of inline transactions, or::
 
@@ -210,16 +211,14 @@ def tx_from_obj(obj: Any) -> Transaction:
 
 def model_to_obj(model: IeutxoModel, names: Optional[dict] = None) -> dict:
     names = names or {}
-    obj = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "name": model.name,
         "transactions": [
             tx_to_obj(tx, names.get(tx)) for tx in model.transactions
         ],
+        "probe_candidates": [tx_to_obj(tx) for tx in model.probe_candidates],
     }
-    if model.probe_candidates is not None:
-        obj["probe_candidates"] = [tx_to_obj(tx) for tx in model.probe_candidates]
-    return obj
 
 
 def model_from_obj(obj: Any) -> tuple[IeutxoModel, dict]:

@@ -1,11 +1,14 @@
 """End-to-end round-trip checks: unit, counit, naturality, triangles."""
 
+from functools import partial
+
 import pytest
 
 from chunkalg import functors, ieutxo
 from chunkalg.acs import ChunkAcs, FiniteSetsAcs, Fn, SubstAcs, perm_acs_arrow
 from chunkalg.atoms import Permutation
-from chunkalg.functors import NotIutxo, check_adjunction, iutxo_embedding_check
+from chunkalg.axioms import oriented_axiom_check
+from chunkalg.functors import NotIutxo, check_adjunction, eta, iutxo_embedding_check
 from chunkalg.generators import GenConfig, gen_arrow, gen_model, stream
 from chunkalg.ieutxo import IeutxoModel, identity_arrow
 from chunkalg.scripts import SpendsAtMostNInputs
@@ -45,9 +48,10 @@ def test_adjunction_strict_mode_on_chunks(backbone_model):
 
 
 def test_each_represented_model_is_built_once_per_verdict(backbone_model, monkeypatch):
-    """G(F(model)), G(inst) and G(F(G(inst))) are built once each: the
-    default identity arrows, and a supplied arrow given twice, reuse them,
-    and so reuse their blocked-channel analysis."""
+    """G(F(model)), G(inst) and G(F(G(inst))) are built once each, and
+    G(F(model)) is G(inst) when ``inst`` is the model's own chunk system:
+    the default identity arrows, and a supplied arrow given twice, reuse
+    them, and so reuse their blocked-channel analysis."""
     counts = {"g_object": 0, "_blocked": 0}
 
     def count_calls(module, name):
@@ -62,13 +66,35 @@ def test_each_represented_model_is_built_once_per_verdict(backbone_model, monkey
     count_calls(functors, "g_object")
     count_calls(ieutxo, "_blocked")
     ident = identity_arrow(backbone_model)
-    for options in ({"strict": True}, {"model_arrows": [ident, ident]}):
+    own = partial(ChunkAcs, backbone_model)
+    for make, options, expected in (
+        (own, {"strict": True}, (2, 16)),
+        (own, {"model_arrows": [ident, ident]}, (2, 16)),
+        (FiniteSetsAcs, {}, (3, 16)),
+    ):
         counts.update(g_object=0, _blocked=0)
-        report = check_adjunction(
-            backbone_model, ChunkAcs(backbone_model), seed=1, samples=40, **options
-        )
+        report = check_adjunction(backbone_model, make(), seed=1, samples=40, **options)
         assert report.ok, options
-        assert counts == {"g_object": 3, "_blocked": 24}, options
+        assert (counts["g_object"], counts["_blocked"]) == expected, options
+
+
+def test_unit_and_counit_need_no_declared_universe(backbone):
+    """F and the unit are total: a model declaring no probe candidates gives
+    what the same model declaring its enumeration gives."""
+    bare = IeutxoModel("m", backbone)
+    declared = IeutxoModel("m", backbone, probe_candidates=backbone)
+    assert eta(bare).model.transactions == eta(declared).model.transactions
+    insts = ChunkAcs(bare), ChunkAcs(declared)
+    elements = [inst.sample_elements(30, 1) for inst in insts]
+    assert elements[0] == elements[1]
+    assert [insts[0].left(x) for x in elements[0]] == [insts[1].left(x) for x in elements[1]]
+    reports = [oriented_axiom_check(inst, elems, seed=1) for inst, elems in zip(insts, elements)]
+    assert reports[0].to_obj() == reports[1].to_obj()
+    reports = [
+        check_adjunction(model, inst, seed=1, samples=20, strict=True)
+        for model, inst in zip((bare, declared), insts)
+    ]
+    assert reports[0].ok and reports[0].to_obj() == reports[1].to_obj()
 
 
 def test_adjunction_reports_every_law(pair_model):

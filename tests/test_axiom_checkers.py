@@ -280,3 +280,14 @@ def test_non_strict_atomic_check_skips_the_strict_laws():
     strict = atomic_axiom_check(inst, inst.enumerate_carrier(), strict=True)
     assert _laws(strict) == ATOMIC_LAWS + ATOMIC_STRICT_LAWS
     assert inst.leq_calls > 0
+
+
+def test_checkers_on_no_samples_report_nothing_exercised(su, backbone_model):
+    """An empty sample list gives a passing report whose sampled laws are
+    marked not exercised, rather than an error."""
+    for inst in (su, ChunkAcs(backbone_model)):
+        report = monoid_axiom_check(inst, [])
+        assert report.ok
+        assert not report.result("locality_of_failure").exercised
+        for checker in (oriented_axiom_check, atomic_axiom_check, partial_converse_check):
+            assert checker(inst, []).ok

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from chunkalg.cli import main
 from chunkalg.jsonio import MAX_SCRIPT_DEPTH, dumps
 
@@ -194,29 +196,33 @@ def test_ledger_json_with_probe_universe(capsys, tmp_path):
                              "status": "ok"}) + "\n"
 
 
-def test_ledger_probe_file_without_candidates_is_refused(capsys, tmp_path):
-    """``--probe-file`` names the probe universe, so a model that declares
-    none is refused with exit 2; a chunk file's own model without
-    candidates still gives the ledger without blocked sets."""
+def test_ledger_without_candidates_probes_the_enumeration(capsys, tmp_path):
+    """A model that declares no probe candidates, as ``--probe-file`` or as
+    a chunk file's own model, probes its enumeration: the ledger is the one
+    the same model declaring it gives, blocked sets included."""
     with open(fixture_path("backbone_model.json")) as fh:
-        model = json.load(fh)
-    del model["probe_candidates"]
-    (tmp_path / "model.json").write_text(json.dumps(model))
-    (tmp_path / "chunk.json").write_text(
-        json.dumps({"model_file": "model.json", "transactions": [model["transactions"][0]["name"]]})
-    )
+        declared = json.load(fh)
+    bare = {k: v for k, v in declared.items() if k != "probe_candidates"}
+    first = declared["transactions"][0]["name"]
+    for name, model in (("bare", bare), ("declared", declared)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(model))
+        (tmp_path / f"{name}_chunk.json").write_text(
+            json.dumps({"model_file": f"{name}.json", "transactions": [first]})
+        )
     for argv in (
-        [fixture_path("backbone_34.json"), "--probe-file", str(tmp_path / "model.json")],
-        [str(tmp_path / "chunk.json"), "--probe-file", str(tmp_path / "model.json")],
+        [fixture_path("backbone_34.json"), "--probe-file", "{}.json"],
+        [fixture_path("backbone_full.json"), "--probe-file", "{}.json"],
+        ["{}_chunk.json"],
+        ["{}_chunk.json", "--probe-file", "{}.json"],
     ):
         for fmt in ([], ["--json"]):
-            assert main(["ledger", *argv, *fmt]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == f"missing probe universe for model {model['name']}\n"
-    code, report = run_json(capsys, "ledger", str(tmp_path / "chunk.json"))
-    assert code == 0
-    assert "blocked_utxi" not in report["payload"] and "blocked_utxo" not in report["payload"]
+            outs = []
+            for name in ("bare", "declared"):
+                args = [str(tmp_path / a.format(name)) if "{}" in a else a for a in argv]
+                outs.append(run(capsys, "ledger", *args, *fmt))
+            assert outs[0] == outs[1]
+            assert outs[0][0] == 0
+            assert "blocked" in outs[0][1]
 
 
 def test_commute_disjoint(capsys):
@@ -355,29 +361,39 @@ def test_adjunction_model_file_strict(capsys):
 
 
 def test_adjunction_defaults_missing_probe_universe(capsys, tmp_path):
-    bare = tmp_path / "bare_model.json"
-    bare.write_text(
-        json.dumps(
-            {
-                "schema_version": 1,
-                "name": "bare",
-                "transactions": [
-                    {
-                        "name": "t",
-                        "inputs": [],
-                        "outputs": [
-                            {"pos": "a", "datum": 0, "validator": {"node": "accept_all"}}
-                        ],
-                    }
-                ],
-            }
-        )
-    )
-    code, report = run_json(
-        capsys, "adjunction", "--model", str(bare), "--samples", "10"
-    )
-    assert code == 0
-    assert report["payload"]["probe_universe_defaulted_to_enumeration"] is True
+    """A model file without probe candidates gives the report of the same
+    model declaring its enumeration as the universe."""
+    tx = {"name": "t", "inputs": [],
+          "outputs": [{"pos": "a", "datum": 0, "validator": {"node": "accept_all"}}]}
+    bare = {"schema_version": 1, "name": "bare", "transactions": [tx]}
+    outs = []
+    for model in (bare, {**bare, "probe_candidates": ["t"]}):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        outs.append(run(capsys, "adjunction", "--model", str(path), "--samples", "10", "--json"))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+    assert set(json.loads(outs[0][1])["payload"]) == {
+        "factor_choice", "materialized_atomics", "model_transactions", "report"
+    }
+
+
+def test_samples_must_be_positive(capsys):
+    """``--samples`` parses as a positive integer: anything else is a usage
+    error (exit 2) with a message, not a traceback."""
+    for argv in (
+        ["acs-check", "subst", "--samples", "0"],
+        ["acs-check", "subst", "--samples", "-3"],
+        ["acs-check", "chunks:" + fixture_path("pair_model.json"), "--samples", "0"],
+        ["adjunction", "--samples", "-2"],
+        ["church-rosser", "--samples", "many"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--samples: expected a positive integer" in captured.err, argv
 
 
 def test_church_rosser_generated(capsys):

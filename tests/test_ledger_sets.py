@@ -7,14 +7,15 @@ from chunkalg.ieutxo import (
     Chunk,
     FAIL,
     IeutxoModel,
-    MissingProbeUniverse,
     NotAChunk,
     blocked_utxi,
     blocked_utxo,
     compose,
+    enumerate_chunks,
     is_blockchain,
     ledger_sets,
     pos,
+    renamed_probe_chunks,
     stx,
     utxi,
     utxo,
@@ -124,10 +125,19 @@ def test_unsatisfiable_input_is_blocked():
     assert blocked_utxo(ch2, model2) == frozenset()
 
 
-def test_blocked_needs_probe_universe(pair_txs):
-    model = IeutxoModel("bare", pair_txs)
-    with pytest.raises(MissingProbeUniverse):
-        blocked_utxi(Chunk((pair_txs[0],)), model)
+def test_blocked_default_universe_is_the_enumeration(backbone):
+    """A model that declares no probe candidates probes its enumeration,
+    exactly as the same model declaring it."""
+    bare = IeutxoModel("bare", backbone)
+    declared = IeutxoModel("declared", backbone, probe_candidates=backbone)
+    assert bare.probe_candidates == declared.probe_candidates == tuple(backbone)
+    chunks = list(enumerate_chunks(bare))
+    assert len(chunks) > len(backbone)
+    for ch in chunks:
+        assert blocked_utxi(ch, bare) == blocked_utxi(ch, declared)
+        assert blocked_utxo(ch, bare) == blocked_utxo(ch, declared)
+        got = [c.txs for c in renamed_probe_chunks(pos(ch), bare)]
+        assert got == [c.txs for c in renamed_probe_chunks(pos(ch), declared)]
 
 
 def test_probe_renaming_avoids_collisions(backbone_model, backbone):

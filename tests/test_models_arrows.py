@@ -32,8 +32,6 @@ def test_model_rejects_bad_enumerations(pair_txs):
         IeutxoModel("m", (mk_tx([("a", "k")], [("a", 0)]),))
     with pytest.raises(ModelError):
         IeutxoModel("m", (pair_txs[0], pair_txs[0]))
-    with pytest.raises(ModelError):
-        IeutxoModel("m", pair_txs, admissible=lambda tx: False)
 
 
 def test_enumerate_chunks(backbone_model):

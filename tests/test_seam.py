@@ -199,7 +199,7 @@ def _singleton_compose_blocked(ch, model, inputs):
         for cand in model.probe_candidates:
             for slot in cand.outputs if inputs else cand.inputs:
                 probe = _retarget(cand, slot.position, a, avoid)
-                if input_channels(probe) & output_channels(probe) or not model.is_admissible(probe):
+                if input_channels(probe) & output_channels(probe):
                     continue
                 cat = (probe,) + ch.txs if inputs else ch.txs + (probe,)
                 connects = connects or check_chunk(cat).ok
@@ -321,9 +321,7 @@ def probe_cases(draw):
     """(probed chunk, model): a chunk grown from pool transactions that keep
     it a chunk, and a probe universe with at least one support-free
     candidate and one naming positions in a validator, among pool
-    transactions, some of which are not chunks on their own, under an
-    admissible predicate that may refuse the renamed probes holding one
-    atom."""
+    transactions, some of which are not chunks on their own."""
     ch = EMPTY_CHUNK
     for tx in draw(st.lists(_pool_txs(True), min_size=1, max_size=4)):
         grown = compose(ch, Chunk((tx,)))
@@ -331,9 +329,7 @@ def probe_cases(draw):
     cands = [draw(_free_txs()), draw(_named_position_txs(ch))]
     cands += draw(st.lists(st.one_of(_free_txs(), _pool_txs(True), _pool_txs(False)), max_size=2))
     cands = draw(st.permutations(cands))
-    banned = draw(st.one_of(st.none(), st.sampled_from(PROBE_POOL + ("z3", "z4"))))
-    admissible = None if banned is None else (lambda tx: banned not in pos(tx))
-    return Chunk(ch.txs), IeutxoModel("probes", (), admissible=admissible, probe_candidates=tuple(cands))
+    return Chunk(ch.txs), IeutxoModel("probes", (), probe_candidates=tuple(cands))
 
 
 def _renamed_probe_chunks_reference(atoms, model):
@@ -344,9 +340,7 @@ def _renamed_probe_chunks_reference(atoms, model):
             if not check_chunk((cand,)).ok:
                 continue
             for slot in sorted(pos(cand)):
-                probe = _retarget(cand, slot, a, avoid)
-                if model.is_admissible(probe):
-                    out.append((probe,))
+                out.append((_retarget(cand, slot, a, avoid),))
     return out
 
 
@@ -358,8 +352,8 @@ def test_probe_plan_matches_singleton_reference(case):
     support-free candidates, probed without a permutation, and candidates
     with support, whose validators, keys and datums name atoms (fresh ones
     and queried ones too); validators that read the whole spending
-    transaction, queried atoms among the candidates' positions, inadmissible
-    probes on both paths, and non-chunk candidates."""
+    transaction, queried atoms among the candidates' positions, and
+    non-chunk candidates."""
     ch, model = case
     for probed in (ch, _indexed(ch)):
         assert blocked_utxi(probed, model) == _singleton_compose_blocked(ch, model, True)
@@ -389,8 +383,7 @@ def test_probes_check_no_chunk_after_the_model_is_built(case):
 
 def test_cli_default_universe_matches_reference(tmp_path):
     """A model file without probe candidates probes its enumeration, both
-    as a ``chunks:`` instance and for ``adjunction``, through a model built
-    with that universe."""
+    as a ``chunks:`` instance and for ``adjunction``."""
     path = tmp_path / "model.json"
     with open(fixture_path("blocked_model.json"), encoding="utf-8") as fh:
         obj = json.load(fh)
