@@ -85,7 +85,9 @@ class AcsInstance:
     def is_top(self, x: Any) -> bool:
         top = self.top
         # A TopElement is interned, so only an instance whose top is a
-        # carrier value needs an equality test.
+        # carrier value needs an equality test.  FiniteSetsAcs and SubstAcs
+        # test their own top by identity in mcompose and leq, and a subclass
+        # that gives either a carrier-valued top overrides both.
         return x is top or (not isinstance(top, TopElement) and x == top)
 
     def is_bot(self, x: Any) -> bool:
@@ -196,17 +198,17 @@ class FiniteSetsAcs(AcsInstance):
         self.top = TopElement("finsets")
 
     def leq(self, x, y) -> bool:
-        if self.is_top(y):
+        top = self.top
+        if y is top:
             return True
-        if self.is_top(x):
+        if x is top:
             return False
         return x <= y
 
     def mcompose(self, x, y):
-        if self.is_top(x) or self.is_top(y):
-            return self.top
-        if x & y:
-            return self.top
+        top = self.top
+        if x is top or y is top or x & y:
+            return top
         return x | y
 
     def is_atomic(self, x) -> bool:
@@ -339,18 +341,18 @@ class SubstAcs(AcsInstance):
 
     def leq(self, x, y) -> bool:
         """Sub-map order: y extends x."""
-        if self.is_top(y):
+        top = self.top
+        if y is top:
             return True
-        if self.is_top(x):
+        if x is top:
             return False
         ym = y.mapping()
         return all(ym.get(a) == t for a, t in x.bindings)
 
     def mcompose(self, x, y):
-        if self.is_top(x) or self.is_top(y):
-            return self.top
-        if x.dom & y.dom:
-            return self.top
+        top = self.top
+        if x is top or y is top or x.dom & y.dom:
+            return top
         return Subst(x.bindings + y.bindings)
 
     def is_atomic(self, x) -> bool:

@@ -131,6 +131,11 @@ def _slot_order(slots: Iterable, sort_key: Callable) -> tuple:
     return tuple(sorted(set(slots), key=sort_key))
 
 
+def _unhashed_state(value) -> dict:
+    """The pickled state of a value that keeps its hash: all but the hash."""
+    return {k: v for k, v in vars(value).items() if k != "_hash"}
+
+
 @dataclass(frozen=True, init=False)
 class Transaction:
     """A pair of finite input and output sets, canonically ordered.
@@ -143,13 +148,16 @@ class Transaction:
     labels and :class:`~chunkalg.scripts.AcsCompose` hashes of represented
     models are built from it.  It is not computed in the constructor, since
     most transactions (generated, parsed, renamed probes) are never
-    labelled.
+    labelled.  The hash, the one the dataclass would generate, is kept the
+    same way; it is not pickled, since ``str`` hashes differ between
+    processes.
     """
 
     inputs: tuple[Input, ...]
     outputs: tuple[Output, ...]
-    # Set by label() on first use.
+    # Set by label() and __hash__ on first use.
     _label = None
+    _hash = None
 
     def __init__(self, inputs: Iterable[Input] = (), outputs: Iterable[Output] = ()):
         object.__setattr__(self, "inputs", _slot_order(inputs, Input.sort_key))
@@ -178,6 +186,15 @@ class Transaction:
             label = f"tx[{ins}|{outs}]"
             object.__setattr__(self, "_label", label)
         return label
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.inputs, self.outputs))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    __getstate__ = _unhashed_state
 
 
 @dataclass(frozen=True)
@@ -390,18 +407,19 @@ def pairwise_chunk_oracle(txs: Sequence[Transaction]) -> bool:
 class Chunk:
     """A transaction list satisfying the chunk conditions; validated on construction.
 
-    Like a transaction's, the label is computed on first use and kept on the
-    chunk (lazily, so the pools of chunks that are never labelled hold
-    none); a composition also carries its position index (see
-    :class:`_Index`).  Both are parts of the immutable value, not caches
-    keyed by input.
+    Like a transaction's, the label and hash are computed on first use and
+    kept on the chunk (lazily, so the pools of chunks that are never
+    labelled hold none), and the hash is not pickled; a composition also
+    carries its position index (see :class:`_Index`).  All are parts of the
+    immutable value, not caches keyed by input.
     """
 
     txs: TxList
     # Set only by _trusted: the index of a composition (see _Index).
     _index = None
-    # Set by label() on first use.
+    # Set by label() and __hash__ on first use.
     _label = None
+    _hash = None
 
     def __post_init__(self):
         report = check_chunk(self.txs)
@@ -443,6 +461,15 @@ class Chunk:
             object.__setattr__(self, "_label", label)
         return label
 
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.txs,))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    __getstate__ = _unhashed_state
+
 
 class _Fail(Atomless):
     """The absorbing failure element adjoined to the chunk monoid."""
@@ -462,7 +489,6 @@ class _Fail(Atomless):
 
 
 FAIL = _Fail()
-EMPTY_CHUNK = Chunk(())
 
 ChunkOrFail = Union[Chunk, _Fail]
 
@@ -500,10 +526,15 @@ def _build_index(txs: TxList) -> _Index:
     return _Index(outs, ins, frozenset(spent))
 
 
+# The unit carries its index, so composing with it builds none.
+EMPTY_CHUNK = Chunk._trusted((), _build_index(()))
+
+
 def _index_of(chunk: Chunk) -> _Index:
-    """The chunk's index: a composition carries one; for any other chunk it
-    is built afresh and not kept, since pools hold many chunks."""
-    return chunk._index or _build_index(chunk.txs)
+    """The chunk's index: a composition carries one, and an empty chunk has
+    the unit's; for any other chunk it is built afresh and not kept, since
+    pools hold many chunks."""
+    return chunk._index or (_build_index(chunk.txs) if chunk.txs else EMPTY_CHUNK._index)
 
 
 def _seam(x: _Index, y: _Index) -> Optional[set]:

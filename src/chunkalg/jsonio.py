@@ -26,7 +26,8 @@ within its model, and a ``model_file`` a nonempty path without NUL.
 Atoms (positions, ``input_position_in`` entries, permutation entries) are
 nonempty strings.  A file that is not UTF-8 JSON, or holds an integer too
 long to convert, is refused too.  Every refusal is a :class:`ParseError`;
-only a file that cannot be read is an ``OSError``.
+only a file named on the command line that cannot be read is an
+``OSError``; a ``model_file`` that names no readable file is refused.
 """
 
 from __future__ import annotations
@@ -287,7 +288,10 @@ def load_txlist(path: str) -> tuple[tuple[Transaction, ...], Optional[IeutxoMode
         if not isinstance(ref, str) or not ref or "\0" in ref:
             raise ParseError("model_file must be a nonempty path string without NUL")
         base = os.path.dirname(os.path.abspath(path))
-        model, named = load_model(os.path.join(base, ref))
+        try:
+            model, named = load_model(os.path.join(base, ref))
+        except OSError as exc:
+            raise ParseError(f"model_file {ref!r} cannot be read: {exc.strerror or exc}") from None
     txs = tuple(_resolve_tx(item, named) for item in _array(obj, "transactions"))
     return txs, model
 

@@ -124,6 +124,15 @@ def test_validate_chunk_object_without_transactions(tmp_path, capsys):
     assert main(["validate", str(path)]) == 0
 
 
+def test_validate_dangling_model_file_is_parse_error(tmp_path, capsys):
+    """A ``model_file`` naming no file, or a directory, is malformed input
+    (exit 2, naming the reference), not an i/o error on the command line."""
+    (tmp_path / "models").mkdir()
+    for ref in ("0", "missing.json", "models"):
+        err = _validate_parse_error(tmp_path, capsys, {"model_file": ref, "transactions": []})
+        assert f"parse error: model_file {ref!r} cannot be read" in err
+
+
 def test_validate_duplicate_transaction_names(tmp_path, capsys):
     """Two transactions named alike would leave a reference ambiguous."""
     tx = {"inputs": [], "outputs": [{"pos": "a", "datum": 0}]}

@@ -5,13 +5,14 @@ refused with :class:`ParseError`; no other exception escapes.  Documents
 are drawn field by field, each field either well-formed or any JSON value,
 so most draws are nearly valid and reach the deeper checks; raw bytes,
 mutated valid text and JSON numbers too large to convert reach the reader.
+A chunk document's ``model_file`` may name a missing file or a directory.
 """
 
 import json
 import os
 import tempfile
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from chunkalg.jsonio import ParseError, load_model, load_txlist, model_from_obj, perm_from_obj
@@ -82,7 +83,8 @@ models = _either(
     )
 )
 # Referenced model files the chunk documents may name; each is written
-# next to the chunk file (see _write_models).
+# next to the chunk file, beside the directory MODEL_DIR (see _write_models).
+# MISSING_MODEL names no file.
 MODEL_FILES = {
     "good.json": {"name": "g", "transactions": [
         {"name": "t1", "outputs": [{"pos": "a", "datum": 0}]},
@@ -90,7 +92,10 @@ MODEL_FILES = {
     ]},
     "bad.json": {"name": "b", "transactions": [{"inputs": [{"pos": "a", "key": [1]}]}]},
 }
-_model_files = _either(st.sampled_from(sorted(MODEL_FILES) + ["", "sub\x00.json"]))
+MODEL_DIR, MISSING_MODEL = "dir.json", "missing.json"
+_model_files = _either(
+    st.sampled_from(sorted(MODEL_FILES) + ["", "sub\x00.json", MISSING_MODEL, MODEL_DIR])
+)
 chunks = st.one_of(
     st.lists(_txs, max_size=3),
     _either(
@@ -120,6 +125,7 @@ def _write_models(directory):
     for name, obj in MODEL_FILES.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
+    os.mkdir(os.path.join(directory, MODEL_DIR))
 
 
 _settings = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -138,6 +144,7 @@ def test_permutation_documents_load_or_refuse(obj):
 
 
 @given(chunks)
+@example({"schema_version": 1, "transactions": [], "model_file": "0"})
 @_settings
 def test_chunk_documents_load_or_refuse(obj):
     with tempfile.TemporaryDirectory() as directory:

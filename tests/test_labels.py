@@ -3,9 +3,9 @@
 ``script_label`` must equal the JSON wire form ``json.dumps(script_to_obj(s),
 sort_keys=True, separators=(",", ":"))`` and the same form built from an
 independent walk that reads no kept label.
-Transactions and chunks keep their label, and ``AcsCompose`` its hash, after
-first use; each is compared with an independent recomputation, also after
-renaming.  ``is_top`` tests interned tops by identity, which must not change
+Transactions, chunks and ``AcsCompose`` nodes keep their label and hash
+after first use; each is compared with an independent recomputation, also
+after renaming.  ``is_top`` tests interned tops by identity, which must not change
 what counts as top.
 """
 
@@ -19,7 +19,17 @@ from chunkalg.acs import ChunkAcs, FiniteSetsAcs, Fn, Subst, SubstAcs, TopElemen
 from chunkalg.atoms import Permutation, value_label
 from chunkalg.functors import g_object
 from chunkalg.generators import GenConfig, gen_model, stream
-from chunkalg.ieutxo import EMPTY_CHUNK, FAIL, Chunk, Input, Output, Transaction, enumerate_chunks, pos
+from chunkalg.ieutxo import (
+    EMPTY_CHUNK,
+    FAIL,
+    Chunk,
+    Input,
+    Output,
+    Transaction,
+    compose,
+    enumerate_chunks,
+    pos,
+)
 from chunkalg.scripts import (
     AcceptAll,
     AcsCompose,
@@ -57,6 +67,26 @@ def _ref_label(value):
         )
         return f"tx[{ins}|{outs}]"
     return value_label(value)
+
+
+def _ref_hash_key(value):
+    """A plain tuple that hashes like ``value``: a tuple's hash reads only
+    its items' hashes, and a dataclass hashes the tuple of its fields."""
+    if isinstance(value, Chunk):
+        return (tuple(_ref_hash_key(tx) for tx in value.txs),)
+    if isinstance(value, Transaction):
+        return (tuple(map(_ref_hash_key, value.inputs)), tuple(map(_ref_hash_key, value.outputs)))
+    if isinstance(value, Input):
+        return (value.position, _ref_hash_key(value.key))
+    if isinstance(value, Output):
+        return (value.position, _ref_hash_key(value.datum), _ref_hash_key(value.validator))
+    if isinstance(value, AcsCompose):
+        return ("acs_compose", _ref_label(value.element))
+    if isinstance(value, Not):
+        return (_ref_hash_key(value.body),)
+    if isinstance(value, (And, Or)):
+        return (_ref_hash_key(value.left), _ref_hash_key(value.right))
+    return value
 
 
 def _ref_script_obj(script):
@@ -237,6 +267,46 @@ def test_kept_acs_compose_hash(chunk):
         renamed = node.rename(perm)
         assert hash(renamed) == hash(("acs_compose", _ref_label(renamed.element)))
         assert hash(node) == want
+
+
+def _unhashed(value):
+    assert "_hash" not in vars(value)
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_represented()))
+def test_kept_chunk_and_transaction_hashes(chunk):
+    """The kept hash is the one the dataclass generates, ``hash((txs,))``
+    and ``hash((inputs, outputs))``, on every way of building an equal
+    value; it is computed on first use, not at construction."""
+    want = hash(_ref_hash_key(chunk))
+    txs = chunk.txs
+    fresh = _fresh_copy(chunk)
+    assert all("_hash" not in vars(tx) for tx in fresh.txs)
+    images = [
+        fresh,
+        Chunk(txs),
+        Chunk._trusted(txs),
+        compose(EMPTY_CHUNK, Chunk._trusted(txs)),
+        compose(Chunk._trusted(txs), EMPTY_CHUNK),
+        compose(Chunk._trusted(txs[:1]), Chunk._trusted(txs[1:])),
+    ]
+    for value in [chunk] + [_unhashed(image) for image in images]:
+        assert value == chunk
+        assert hash(value) == want == hash((value.txs,)) and hash(value) == want
+        for tx in value.txs:
+            tx_want = hash(_ref_hash_key(tx))
+            assert hash(tx) == tx_want == hash((tx.inputs, tx.outputs)) and hash(tx) == tx_want
+    for perm in _renamings(chunk):
+        renamed = _unhashed(chunk.rename(perm))
+        assert all("_hash" not in vars(tx) for tx in renamed.txs)
+        assert hash(renamed) == hash(_ref_hash_key(renamed)) == hash(_fresh_copy(renamed))
+        for tx in txs:
+            renamed_tx = tx.rename(perm)
+            assert "_hash" not in vars(renamed_tx)
+            assert hash(renamed_tx) == hash(_ref_hash_key(renamed_tx))
+        assert hash(chunk) == want
 
 
 def test_transaction_label_not_computed_at_construction():

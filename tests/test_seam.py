@@ -231,6 +231,23 @@ def test_empty_chunk_is_the_unit_for_indexed_chunks(pair_txs):
     assert ledger_sets(compose(ch, EMPTY_CHUNK)) == ledger_sets(Chunk(pair_txs))
 
 
+def test_the_unit_carries_its_index(pair_txs, monkeypatch):
+    """Composing with the unit, or any empty chunk, builds no index for it:
+    none at all next to a composition, and only the other operand's next to
+    a directly built chunk."""
+    calls = []
+    real = ieutxo._build_index
+    monkeypatch.setattr(ieutxo, "_build_index", lambda txs: calls.append(txs) or real(txs))
+    indexed, plain = _indexed(Chunk(pair_txs)), Chunk(pair_txs)
+    calls.clear()
+    for unit in (EMPTY_CHUNK, Chunk(())):
+        for x in (indexed, EMPTY_CHUNK, Chunk(())):
+            assert compose(unit, x) == x == compose(x, unit)
+    assert calls == []
+    assert compose(EMPTY_CHUNK, plain) == plain == compose(plain, Chunk(()))
+    assert calls == [pair_txs, pair_txs]
+
+
 # Atom pool of the probe differential: "z1"/"z2" are the first names
 # fresh_atoms mints, so chunks often hold them and fresh atoms must avoid them.
 PROBE_POOL = ("a", "b", "c", "z1", "z2")
