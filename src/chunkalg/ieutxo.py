@@ -13,12 +13,13 @@ pair of finite input/output sets.  A *chunk* is a transaction list in which
 
 Chunk validity is local: a list is a chunk iff every sublist of length at
 most two is (see :func:`pairwise_chunk_oracle`, the independent oracle used
-throughout the test suite).  So two chunks compose exactly when the pairs
-spanning their seam are valid, and :func:`compose` checks only the seam,
-reading a position index of each chunk (its unspent outputs, unspent inputs
-and spent channels), the way a ledger applies a block to its UTxO map.  The
-concatenation it returns is built by the one trusted constructor, carrying
-its own index; :class:`Chunk` built directly validates the whole list with
+throughout the test suite).  So whether two chunks compose, and the ledger
+of the result, depend only on a position index of each (its unspent
+outputs, unspent inputs and spent channels): one join of two indices checks
+the seam and merges them, the way a ledger applies a block to its UTxO map.
+Composition, commuting, Church–Rosser and enumeration all compose through
+it, and build a chunk, by the one trusted constructor, only where they
+return one; :class:`Chunk` built directly validates the whole list with
 :func:`check_chunk`, the from-scratch reference.  Totalizing the partial
 composition with the absorbing :data:`FAIL` element turns the chunk set into
 a monoid with an explicit failure top.  A *blockchain* is a chunk with no
@@ -537,9 +538,8 @@ def _index_of(chunk: Chunk) -> _Index:
     return chunk._index or (_build_index(chunk.txs) if chunk.txs else EMPTY_CHUNK._index)
 
 
-def _seam(x: _Index, y: _Index) -> Optional[set]:
-    """Where chunk ``y`` spends chunk ``x``'s outputs, or None if ``x·y`` is
-    not a chunk.
+def _join(x: _Index, y: _Index) -> Optional[_Index]:
+    """The index of ``x·y``, or None if ``x·y`` is not a chunk.
 
     Validity is local, so ``x·y`` is a chunk exactly when ``y``'s outputs
     avoid ``x``'s outputs, ``y``'s inputs avoid ``x``'s inputs, ``x``'s
@@ -547,7 +547,7 @@ def _seam(x: _Index, y: _Index) -> Optional[set]:
     passes that output's validator.  A chunk's unspent outputs, unspent
     inputs and spent channels partition its positions, so on the indices:
     the only positions the two share are ``y``'s unspent inputs on ``x``'s
-    unspent outputs, and those validate.
+    unspent outputs, and those validate; the merged index spends those.
     """
     xo, yi = x.outs.keys(), y.ins.keys()
     for a in (xo, x.ins.keys(), x.stx):
@@ -559,30 +559,26 @@ def _seam(x: _Index, y: _Index) -> Optional[set]:
         tx, i = y.ins[p]
         if not validates(x.outs[p], PointedTransaction(tx, i)):
             return None
-    return spends
+    outs = dict(x.outs)
+    ins = {**x.ins, **y.ins}
+    for p in spends:
+        del outs[p]
+        del ins[p]
+    outs.update(y.outs)
+    return _Index(outs, ins, x.stx.union(y.stx, spends))
 
 
 def compose(x: ChunkOrFail, y: ChunkOrFail) -> ChunkOrFail:
     """The concatenation if it is a chunk, else FAIL; FAIL is absorbing.
 
-    Only the seam is checked (:func:`_seam`); the result is built by the
-    trusted constructor and carries its index, derived from the operands'
-    indices, for later compositions and ledger reads.
+    Only the seam is checked, by joining the operands' indices
+    (:func:`_join`); the result is built by the trusted constructor and
+    carries the joined index, for later compositions and ledger reads.
     """
     if x is FAIL or y is FAIL:
         return FAIL
-    ix, iy = _index_of(x), _index_of(y)
-    spends = _seam(ix, iy)
-    if spends is None:
-        return FAIL
-    outs = dict(ix.outs)
-    ins = {**ix.ins, **iy.ins}
-    for p in spends:
-        del outs[p]
-        del ins[p]
-    outs.update(iy.outs)
-    index = _Index(outs, ins, ix.stx.union(iy.stx, spends))
-    return Chunk._trusted(x.txs + y.txs, index)
+    index = _join(_index_of(x), _index_of(y))
+    return FAIL if index is None else Chunk._trusted(x.txs + y.txs, index)
 
 
 def compose_all(parts: Iterable[ChunkOrFail]) -> ChunkOrFail:
@@ -659,7 +655,8 @@ def is_blockchain(value: Union[Chunk, Sequence[Transaction]]) -> bool:
 
 def commuting(x: Chunk, y: Chunk) -> bool:
     """Both composition orders form chunks, or neither does."""
-    return (compose(x, y) is FAIL) == (compose(y, x) is FAIL)
+    ix, iy = _index_of(x), _index_of(y)
+    return (_join(ix, iy) is None) == (_join(iy, ix) is None)
 
 
 # ---------------------------------------------------------------------------
@@ -738,19 +735,19 @@ def enumerate_chunks(
     a position, and repeats collide), so the walk terminates; prefixes of
     chunks are chunks, which makes pruning safe.
     """
-    singles = [Chunk((tx,)) for tx in model.transactions]
+    singles = [((tx,), _build_index((tx,))) for tx in model.transactions]
     limit = len(singles) if max_len is None else min(max_len, len(singles))
 
     def walk(prefix: Chunk, used: frozenset[int]) -> Iterator[Chunk]:
         yield prefix
         if len(prefix) >= limit:
             return
-        for idx, single in enumerate(singles):
+        for idx, (single, index) in enumerate(singles):
             if idx in used:
                 continue
-            grown = compose(prefix, single)
-            if grown is not FAIL:
-                yield from walk(grown, used | {idx})
+            grown = _join(prefix._index, index)
+            if grown is not None:
+                yield from walk(Chunk._trusted(prefix.txs + single, grown), used | {idx})
 
     return walk(EMPTY_CHUNK, frozenset())
 
@@ -930,20 +927,22 @@ def check_church_rosser(y: Chunk, x: Chunk, x2: Chunk) -> ChurchRosserReport:
     premise-satisfying triple violating either conclusion indicates an
     implementation bug.
     """
-    full = compose(compose(y, x), x2)
-    if full is FAIL:
+    iy, ix, ix2 = _index_of(y), _index_of(x), _index_of(x2)
+    yx = _join(iy, ix)
+    full = None if yx is None else _join(yx, ix2)
+    if full is None:
         return ChurchRosserReport(CR_PREMISES_FAILED, "y·x·x2 is not a chunk")
-    yx2 = compose(y, x2)
-    if yx2 is FAIL:
+    yx2 = _join(iy, ix2)
+    if yx2 is None:
         return ChurchRosserReport(CR_PREMISES_FAILED, "y·x2 is not a chunk")
-    if utxi(yx2) != utxi(full):
+    if yx2.ins.keys() != full.ins.keys():
         return ChurchRosserReport(
             CR_PREMISES_FAILED, "utxi(y·x2) differs from utxi(y·x·x2)"
         )
     problems = []
-    if not commuting(x, x2):
+    if (_join(ix, ix2) is None) != (_join(ix2, ix) is None):
         problems.append("x and x2 do not commute")
-    if compose(yx2, x) is FAIL:
+    if _join(yx2, ix) is None:
         problems.append("y·x2·x is not a chunk")
     if problems:
         return ChurchRosserReport(CR_COUNTEREXAMPLE, "; ".join(problems))

@@ -23,11 +23,15 @@ An object-form file may omit ``schema_version`` (it is then read as version
 ``inputs`` and ``outputs`` must be arrays, a chunk-file object must list
 its ``transactions``, a transaction ``name`` must be a string, unique
 within its model, and a ``model_file`` a nonempty path without NUL.
-Atoms (positions, ``input_position_in`` entries, permutation entries) are
-nonempty strings.  A file that is not UTF-8 JSON, or holds an integer too
-long to convert, is refused too.  Every refusal is a :class:`ParseError`;
-only a file named on the command line that cannot be read is an
-``OSError``; a ``model_file`` that names no readable file is refused.
+Atoms (positions and ``input_position_in`` entries) are nonempty strings.
+A file that is not UTF-8 JSON, or holds an integer too long to convert, is
+refused too.  Every refusal is a :class:`ParseError`; only a file named on
+the command line that cannot be read is an ``OSError``.
+
+A ``model_file`` is resolved relative to the chunk file's directory: an
+absolute path, or one with a ``..`` component, is refused, and so is a
+reference to anything but a readable regular file, which is checked
+before it is opened, so that no device or FIFO is read.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 from typing import Any, Optional
 
-from .atoms import Permutation
 from .ieutxo import IeutxoModel, Input, Output, Transaction
 from .scripts import (
     AcceptAll,
@@ -66,25 +70,6 @@ class ParseError(ValueError):
 
 def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-# ---------------------------------------------------------------------------
-# Permutations
-
-
-def perm_to_obj(perm: Permutation) -> dict:
-    return {a: b for a, b in perm.graph()}
-
-
-def perm_from_obj(obj: Any) -> Permutation:
-    if not isinstance(obj, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) and k and v for k, v in obj.items()
-    ):
-        raise ParseError("permutation must be an object of atom-to-atom entries")
-    try:
-        return Permutation(obj)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +272,16 @@ def load_txlist(path: str) -> tuple[tuple[Transaction, ...], Optional[IeutxoMode
         ref = obj["model_file"]
         if not isinstance(ref, str) or not ref or "\0" in ref:
             raise ParseError("model_file must be a nonempty path string without NUL")
-        base = os.path.dirname(os.path.abspath(path))
+        if os.path.isabs(ref):
+            raise ParseError(f"model_file {ref!r} is an absolute path; it must be relative")
+        if ".." in ref.split(os.sep):
+            raise ParseError(f"model_file {ref!r} has a '..' component")
+        target = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
         try:
-            model, named = load_model(os.path.join(base, ref))
+            # Checked before opening, so a device or FIFO is never read.
+            if not stat.S_ISREG(os.stat(target).st_mode):
+                raise ParseError(f"model_file {ref!r} cannot be read: not a regular file")
+            model, named = load_model(target)
         except OSError as exc:
             raise ParseError(f"model_file {ref!r} cannot be read: {exc.strerror or exc}") from None
     txs = tuple(_resolve_tx(item, named) for item in _array(obj, "transactions"))

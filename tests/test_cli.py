@@ -133,6 +133,29 @@ def test_validate_dangling_model_file_is_parse_error(tmp_path, capsys):
         assert f"parse error: model_file {ref!r} cannot be read" in err
 
 
+def test_validate_model_file_stays_in_the_chunk_directory(tmp_path, capsys):
+    """A ``model_file`` is resolved inside the chunk file's directory: an
+    absolute path or one through ``..`` is refused even when it names a good
+    model, and so is a target that is not a regular file (exit 2, with the
+    reason)."""
+    model = {"name": "m", "transactions": []}
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    absolute = str(tmp_path / "model.json")
+    for ref, reason in ((absolute, "is an absolute path"), ("../model.json", "has a '..' component")):
+        err = _validate_parse_error(sub, capsys, {"model_file": ref, "transactions": []})
+        assert f"parse error: model_file {ref!r} {reason}" in err
+    (sub / "model.json").symlink_to("/dev/null")
+    err = _validate_parse_error(sub, capsys, {"model_file": "model.json", "transactions": []})
+    assert "parse error: model_file 'model.json' cannot be read: not a regular file" in err
+    # the same model next to the chunk file loads
+    (sub / "model.json").unlink()
+    (sub / "model.json").write_text(json.dumps(model))
+    (sub / "chunk.json").write_text(json.dumps({"model_file": "model.json", "transactions": []}))
+    assert main(["validate", str(sub / "chunk.json")]) == 0
+
+
 def test_validate_duplicate_transaction_names(tmp_path, capsys):
     """Two transactions named alike would leave a reference ambiguous."""
     tx = {"inputs": [], "outputs": [{"pos": "a", "datum": 0}]}

@@ -1,11 +1,12 @@
 """The file boundary never crashes.
 
-Every malformed model, chunk or permutation document either loads or is
+Every malformed model or chunk document either loads or is
 refused with :class:`ParseError`; no other exception escapes.  Documents
 are drawn field by field, each field either well-formed or any JSON value,
 so most draws are nearly valid and reach the deeper checks; raw bytes,
 mutated valid text and JSON numbers too large to convert reach the reader.
-A chunk document's ``model_file`` may name a missing file or a directory.
+A chunk document's ``model_file`` may name a missing file, a directory,
+an absolute path or a path through ``..``.
 """
 
 import json
@@ -15,7 +16,7 @@ import tempfile
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from chunkalg.jsonio import ParseError, load_model, load_txlist, model_from_obj, perm_from_obj
+from chunkalg.jsonio import ParseError, load_model, load_txlist, model_from_obj
 
 _json = st.recursive(
     st.one_of(
@@ -84,7 +85,7 @@ models = _either(
 )
 # Referenced model files the chunk documents may name; each is written
 # next to the chunk file, beside the directory MODEL_DIR (see _write_models).
-# MISSING_MODEL names no file.
+# MISSING_MODEL names no file; OUTSIDE_MODELS reach outside the directory.
 MODEL_FILES = {
     "good.json": {"name": "g", "transactions": [
         {"name": "t1", "outputs": [{"pos": "a", "datum": 0}]},
@@ -93,8 +94,9 @@ MODEL_FILES = {
     "bad.json": {"name": "b", "transactions": [{"inputs": [{"pos": "a", "key": [1]}]}]},
 }
 MODEL_DIR, MISSING_MODEL = "dir.json", "missing.json"
+OUTSIDE_MODELS = ["../good.json", "/dev/null"]
 _model_files = _either(
-    st.sampled_from(sorted(MODEL_FILES) + ["", "sub\x00.json", MISSING_MODEL, MODEL_DIR])
+    st.sampled_from(sorted(MODEL_FILES) + ["", "sub\x00.json", MISSING_MODEL, MODEL_DIR] + OUTSIDE_MODELS)
 )
 chunks = st.one_of(
     st.lists(_txs, max_size=3),
@@ -110,8 +112,6 @@ chunks = st.one_of(
         )
     ),
 )
-# JSON object keys are strings.
-perms = _either(st.dictionaries(st.one_of(_atom, st.text(max_size=3)), _either(_atom), max_size=3))
 
 
 def _refused_or_loaded(load, *args):
@@ -135,12 +135,6 @@ _settings = settings(max_examples=300, deadline=None, suppress_health_check=[Hea
 @_settings
 def test_model_documents_load_or_refuse(obj):
     _refused_or_loaded(model_from_obj, obj)
-
-
-@given(perms)
-@_settings
-def test_permutation_documents_load_or_refuse(obj):
-    _refused_or_loaded(perm_from_obj, obj)
 
 
 @given(chunks)

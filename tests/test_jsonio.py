@@ -108,22 +108,3 @@ def test_dumps_is_deterministic():
     model = gen_model(cfg, stream(cfg), name="det")
     assert dumps(model_to_obj(model)) == dumps(model_to_obj(model))
 
-
-def test_permutation_round_trip():
-    from chunkalg.atoms import Permutation
-    from chunkalg.jsonio import perm_from_obj, perm_to_obj
-
-    p = Permutation({"a": "b", "b": "c", "c": "a"})
-    assert perm_from_obj(perm_to_obj(p)) == p
-    assert perm_to_obj(Permutation.identity()) == {}
-
-
-def test_permutation_load_validates_bijectivity():
-    from chunkalg.jsonio import perm_from_obj
-
-    with pytest.raises(ParseError):
-        perm_from_obj({"a": "b"})
-    with pytest.raises(ParseError):
-        perm_from_obj({"a": "c", "b": "c", "c": "a"})
-    with pytest.raises(ParseError):
-        perm_from_obj(["a", "b"])

@@ -1,11 +1,13 @@
 """Seam composition against the from-scratch references.
 
-``compose`` checks only the seam between two chunks, reading an index of the
-left one, and the blocked-channel analysis asks one validator per renamed
-probe.  Both are compared here with ``check_chunk`` and
-``pairwise_chunk_oracle`` on the concatenation, with each seam violation kind
-forced, and with the probe path that renamed every probe with a frozen copy
-of the old ``_retarget`` and checked the whole concatenation.
+``compose``, ``check_church_rosser`` and ``enumerate_chunks`` join position
+indices, checking only the seam between two chunks, and the blocked-channel
+analysis asks one validator per renamed probe.  They are compared here with
+``check_chunk`` and ``pairwise_chunk_oracle`` on the concatenation, with each
+seam violation kind forced, with a depth-first walk over every list of
+distinct model transactions, and with the probe path that renamed every
+probe with a frozen copy of the old ``_retarget`` and checked the whole
+concatenation.
 """
 
 import json
@@ -22,6 +24,9 @@ from chunkalg.cli import _resolve_instance, main
 from chunkalg.generators import GenConfig, gen_model, gen_valid_chunk, stream
 from chunkalg.ieutxo import (
     BACKWARD_OR_SELF_POINTER,
+    CR_COUNTEREXAMPLE,
+    CR_PREMISES_FAILED,
+    CR_VERIFIED,
     DUPLICATE_INPUT_POSITION,
     DUPLICATE_OUTPUT_POSITION,
     EMPTY_CHUNK,
@@ -35,6 +40,7 @@ from chunkalg.ieutxo import (
     blocked_utxi,
     blocked_utxo,
     check_chunk,
+    check_church_rosser,
     compose,
     compose_all,
     enumerate_chunks,
@@ -71,6 +77,28 @@ def _ledger_reference(txs):
 def _indexed(ch):
     """The same chunk rebuilt by composition, so it carries an index."""
     return compose_all(Chunk((tx,)) for tx in ch.txs)
+
+
+def _church_rosser_reference(y, x, x2):
+    """(status, detail) of the confluence check, from ``check_chunk`` and
+    ``_ledger_reference`` on the concatenations."""
+    def ok(*parts):
+        return check_chunk(tuple(tx for part in parts for tx in part.txs)).ok
+
+    if not ok(y, x, x2):
+        return CR_PREMISES_FAILED, "y·x·x2 is not a chunk"
+    if not ok(y, x2):
+        return CR_PREMISES_FAILED, "y·x2 is not a chunk"
+    if _ledger_reference(y.txs + x2.txs)[0] != _ledger_reference(y.txs + x.txs + x2.txs)[0]:
+        return CR_PREMISES_FAILED, "utxi(y·x2) differs from utxi(y·x·x2)"
+    problems = []
+    if ok(x, x2) != ok(x2, x):
+        problems.append("x and x2 do not commute")
+    if not ok(y, x2, x):
+        problems.append("y·x2·x is not a chunk")
+    if problems:
+        return CR_COUNTEREXAMPLE, "; ".join(problems)
+    return CR_VERIFIED, ""
 
 
 @st.composite
@@ -110,6 +138,11 @@ def test_seam_compose_agrees_with_references(chunks):
     assert (whole is not FAIL) == check_chunk(cat).ok
     if whole is not FAIL:
         assert ledger_sets(whole) == _ledger_reference(cat)
+    for triple in ((x, y, z), (y, z, x), (z, x, y)):
+        expected = _church_rosser_reference(*triple)
+        for operands in (triple, [_indexed(c) for c in triple]):
+            rep = check_church_rosser(*operands)
+            assert (rep.status, rep.detail) == expected
 
 
 FRESH, FRESH2 = "zz1", "zz2"
@@ -216,9 +249,14 @@ def test_probe_loop_and_enumeration_match_references(seed, n_txs):
     model = gen_model(cfg, rng, n_txs=n_txs)
     chunks = list(enumerate_chunks(model))
     txs = model.transactions
-    assert {c.txs for c in chunks} == {
-        p for r in range(len(txs) + 1) for p in permutations(txs, r) if check_chunk(p).ok
-    }
+    # Depth first over index order: each list of distinct indices, then its
+    # extensions, which is lexicographic order with prefixes first.
+    walk = sorted(p for r in range(len(txs) + 1) for p in permutations(range(len(txs)), r))
+    lists = (tuple(txs[i] for i in p) for p in walk)
+    assert [c.txs for c in chunks] == [p for p in lists if check_chunk(p).ok]
+    assert chunks[0] is EMPTY_CHUNK
+    for c in chunks:
+        assert ledger_sets(c) == _ledger_reference(c.txs)
     for ch in chunks[:10] + [gen_valid_chunk(cfg, rng) for _ in range(3)]:
         for probed in (Chunk(ch.txs), _indexed(ch)):
             assert blocked_utxi(probed, model) == _singleton_compose_blocked(ch, model, True)
@@ -246,6 +284,23 @@ def test_the_unit_carries_its_index(pair_txs, monkeypatch):
     assert calls == []
     assert compose(EMPTY_CHUNK, plain) == plain == compose(plain, Chunk(()))
     assert calls == [pair_txs, pair_txs]
+
+
+def test_enumeration_and_church_rosser_index_each_operand_once(backbone_model, monkeypatch):
+    """Enumeration builds one index per model transaction and joins indices
+    from there; a Church–Rosser check indexes each operand once and runs
+    all its compositions on indices."""
+    calls = []
+    real = ieutxo._build_index
+    monkeypatch.setattr(ieutxo, "_build_index", lambda txs: calls.append(txs) or real(txs))
+    chunks = list(enumerate_chunks(backbone_model))
+    assert len(chunks) > len(backbone_model.transactions)
+    assert calls == [(tx,) for tx in backbone_model.transactions]
+    tx1, tx2, tx3, _ = backbone_model.transactions
+    calls.clear()
+    y, x, x2 = Chunk((tx1,)), Chunk((tx2,)), Chunk((tx3,))
+    assert check_church_rosser(y, x, x2).status == CR_VERIFIED
+    assert calls == [y.txs, x.txs, x2.txs]
 
 
 # Atom pool of the probe differential: "z1"/"z2" are the first names
