@@ -68,7 +68,7 @@ class TopElement(Atomless):
 
 
 class AcsInstance:
-    """Base interface; subclasses fill in the carrier-specific pieces."""
+    """Base interface: subclasses enumerate the carrier and fill in the rest."""
 
     name: str = "acs"
     perfectly_atomic: bool = False
@@ -104,12 +104,6 @@ class AcsInstance:
         """The finite enumeration of atomic elements this build materializes."""
         raise NotImplementedError
 
-    def sample_atomics(self, n: int, seed: int) -> list[Any]:
-        rng = random.Random(seed)
-        atoms = list(self.atomic_elements())
-        rng.shuffle(atoms)
-        return atoms[:n]
-
     # -- orientation oracles
     def posi(self, x: Any) -> frozenset[Atom]:
         raise NotImplementedError
@@ -129,6 +123,10 @@ class AcsInstance:
 
     def label(self, x: Any) -> str:
         return value_label(x)
+
+    def enumerate_carrier(self) -> list[Any]:
+        """The whole carrier, in label order, then the top."""
+        raise NotImplementedError
 
     def sample_elements(self, n: int, seed: int) -> list[Any]:
         raise NotImplementedError
@@ -425,7 +423,8 @@ class ChunkAcs(AcsInstance):
     Orientation oracles are computed concretely: positions come straight off
     the transactions, and the left/right/up split refines the ledger sets by
     blocked-channel analysis (an unspent input or output that no probe can
-    connect to points up, alongside the spent channels).
+    connect to points up, alongside the spent channels).  The instance
+    keeps each chunk's split and, once enumerated, its carrier.
     """
 
     perfectly_atomic = True
@@ -437,6 +436,7 @@ class ChunkAcs(AcsInstance):
         self.top = FAIL
         self._orientation: dict = {}
         self._hits = self._misses = 0
+        self._carrier: Optional[list] = None
 
     def leq(self, x, y) -> bool:
         return chunk_leq(x, y)
@@ -495,17 +495,16 @@ class ChunkAcs(AcsInstance):
     def act(self, perm: Permutation, x):
         return FAIL if x is FAIL else x.rename(perm)
 
-    def enumerate_elements(
-        self, max_len: Optional[int] = None, include_fail: bool = True
-    ) -> list:
-        out: list = list(enumerate_chunks(self.model, max_len))
-        out.sort(key=self.label)
-        if include_fail:
-            out.append(FAIL)
-        return out
+    def enumerate_carrier(self) -> list:
+        """The model's chunks in label order, then FAIL, as a fresh list;
+        kept after the first call, since the model is immutable and one
+        verdict reads the carrier several times."""
+        if self._carrier is None:
+            self._carrier = sorted(enumerate_chunks(self.model), key=self.label) + [FAIL]
+        return list(self._carrier)
 
     def sample_elements(self, n: int, seed: int) -> list:
-        return _sample_from(self.enumerate_elements(), n, seed, self.bot, self.top)
+        return _sample_from(self.enumerate_carrier(), n, seed, self.bot, self.top)
 
 
 # ---------------------------------------------------------------------------

@@ -932,9 +932,8 @@ def check_church_rosser(y: Chunk, x: Chunk, x2: Chunk) -> ChurchRosserReport:
     full = None if yx is None else _join(yx, ix2)
     if full is None:
         return ChurchRosserReport(CR_PREMISES_FAILED, "y·x·x2 is not a chunk")
+    # y·x2 is a sublist of the chunk y·x·x2, so by locality it is a chunk.
     yx2 = _join(iy, ix2)
-    if yx2 is None:
-        return ChurchRosserReport(CR_PREMISES_FAILED, "y·x2 is not a chunk")
     if yx2.ins.keys() != full.ins.keys():
         return ChurchRosserReport(
             CR_PREMISES_FAILED, "utxi(y·x2) differs from utxi(y·x·x2)"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from chunkalg import acs
 from chunkalg.acs import (
     ChunkAcs,
     FiniteSetsAcs,
@@ -19,8 +20,8 @@ from chunkalg.acs import (
     obs_equiv_probe,
     perm_acs_arrow,
 )
-from chunkalg.atoms import swap
-from chunkalg.ieutxo import Chunk, EMPTY_CHUNK, FAIL
+from chunkalg.atoms import swap, value_label
+from chunkalg.ieutxo import Chunk, EMPTY_CHUNK, FAIL, enumerate_chunks
 
 A = frozenset("a")
 B = frozenset("b")
@@ -158,7 +159,7 @@ def test_chunkacs_cache_info_counts_orientation_lookups(backbone_model, backbone
 
 def test_chunkacs_enumeration(backbone_model):
     inst = ChunkAcs(backbone_model)
-    elems = inst.enumerate_elements()
+    elems = inst.enumerate_carrier()
     assert FAIL in elems and EMPTY_CHUNK in elems
     assert len(elems) == 22  # all valid orderings of the four transactions + fail
 
@@ -166,7 +167,7 @@ def test_chunkacs_enumeration(backbone_model):
 def test_commuting_elements_agree_on_definedness(backbone_model):
     """If x and y commute up to observation, both orders fail together."""
     inst = ChunkAcs(backbone_model)
-    elems = inst.enumerate_elements()
+    elems = inst.enumerate_carrier()
     for x in elems:
         for y in elems:
             if commute_probe(x, y, elems, inst):
@@ -175,11 +176,26 @@ def test_commuting_elements_agree_on_definedness(backbone_model):
                 )
 
 
-def test_sample_atomics_deterministic(fs):
-    got = fs.sample_atomics(2, seed=3)
-    assert got == fs.sample_atomics(2, seed=3)
-    assert all(fs.is_atomic(x) for x in got)
-    assert len(fs.sample_atomics(99, seed=3)) == len(fs.atomic_elements())
+def test_chunkacs_keeps_its_carrier(backbone_model, monkeypatch):
+    """The carrier is enumerated once per instance, every read gets a fresh
+    list, and it equals the from-scratch enumeration."""
+    expected = sorted(enumerate_chunks(backbone_model), key=value_label) + [FAIL]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_chunks(*args)
+
+    monkeypatch.setattr(acs, "enumerate_chunks", counted)
+    inst = ChunkAcs(backbone_model)
+    first = inst.enumerate_carrier()
+    assert first == expected
+    first.reverse()
+    first.pop()
+    assert inst.enumerate_carrier() == expected
+    inst.sample_elements(5, seed=1)
+    inst.sample_elements(40, seed=2)
+    assert len(calls) == 1
 
 
 def test_acs_arrows(fs):

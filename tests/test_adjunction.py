@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from chunkalg import functors, ieutxo
+from chunkalg import acs, functors, ieutxo
 from chunkalg.acs import ChunkAcs, FiniteSetsAcs, Fn, SubstAcs, perm_acs_arrow
 from chunkalg.atoms import Permutation
 from chunkalg.axioms import oriented_axiom_check
@@ -51,8 +51,10 @@ def test_each_represented_model_is_built_once_per_verdict(backbone_model, monkey
     """G(F(model)), G(inst) and G(F(G(inst))) are built once each, and
     G(F(model)) is G(inst) when ``inst`` is the model's own chunk system:
     the default identity arrows, and a supplied arrow given twice, reuse
-    them, and so reuse their blocked-channel analysis."""
-    counts = {"g_object": 0, "_blocked": 0}
+    them, and so reuse their blocked-channel analysis.  Each chunk set is
+    enumerated once: the model's, the round trip's, and F(G(inst))'s when
+    ``inst`` is not the model's own chunk system."""
+    counts = {"g_object": 0, "_blocked": 0, "enumerate_chunks": 0}
 
     def count_calls(module, name):
         original = getattr(module, name)
@@ -65,17 +67,19 @@ def test_each_represented_model_is_built_once_per_verdict(backbone_model, monkey
 
     count_calls(functors, "g_object")
     count_calls(ieutxo, "_blocked")
+    count_calls(acs, "enumerate_chunks")
+    count_calls(functors, "enumerate_chunks")
     ident = identity_arrow(backbone_model)
     own = partial(ChunkAcs, backbone_model)
     for make, options, expected in (
-        (own, {"strict": True}, (2, 16)),
-        (own, {"model_arrows": [ident, ident]}, (2, 16)),
-        (FiniteSetsAcs, {}, (3, 16)),
+        (own, {"strict": True}, (2, 16, 2)),
+        (own, {"model_arrows": [ident, ident]}, (2, 16, 2)),
+        (FiniteSetsAcs, {}, (3, 16, 3)),
     ):
-        counts.update(g_object=0, _blocked=0)
+        counts.update(g_object=0, _blocked=0, enumerate_chunks=0)
         report = check_adjunction(backbone_model, make(), seed=1, samples=40, **options)
         assert report.ok, options
-        assert (counts["g_object"], counts["_blocked"]) == expected, options
+        assert tuple(counts.values()) == expected, options
 
 
 def test_unit_and_counit_need_no_declared_universe(backbone):

@@ -92,7 +92,7 @@ def test_broken_instance_fails_locality():
 
 def test_chunkacs_passes_all_checkers(backbone_model):
     inst = ChunkAcs(backbone_model)
-    elems = inst.enumerate_elements()
+    elems = inst.enumerate_carrier()
     assert monoid_axiom_check(inst, elems).ok
     assert oriented_axiom_check(inst, elems).ok
     assert atomic_axiom_check(inst, elems, strict=True).ok
@@ -116,7 +116,7 @@ def test_posi_oracle_validation(fs, su, backbone_model):
     assert validate_posi_oracle(fs, fs.enumerate_carrier(), seed=1).ok
     assert validate_posi_oracle(su, su.enumerate_carrier()[:40], seed=1).ok
     inst = ChunkAcs(backbone_model)
-    assert validate_posi_oracle(inst, inst.enumerate_elements()[:12], seed=1).ok
+    assert validate_posi_oracle(inst, inst.enumerate_carrier()[:12], seed=1).ok
 
 
 def test_derived_orientation_matches_blocked_analysis(backbone_model):
@@ -128,7 +128,7 @@ def test_derived_orientation_matches_blocked_analysis(backbone_model):
     from chunkalg.ieutxo import pos, renamed_probe_chunks
 
     inst = ChunkAcs(backbone_model)
-    elems = [x for x in inst.enumerate_elements() if x is not FAIL]
+    elems = [x for x in inst.enumerate_carrier() if x is not FAIL]
     for x in elems[:12]:
         probes = renamed_probe_chunks(pos(x), backbone_model)
         left, right, up = derived_orientation(inst, x, probes)

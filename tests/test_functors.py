@@ -46,8 +46,8 @@ def test_f_object_is_the_chunk_system(pair_model):
     assert inst.mcompose(Chunk((tx,)), Chunk((ty,))) == Chunk((tx, ty))
     assert inst.atomic_elements() == [Chunk((tx,)), Chunk((ty,))]
     # composition agrees with chunk composition on all pairs
-    for a in inst.enumerate_elements():
-        for b in inst.enumerate_elements():
+    for a in inst.enumerate_carrier():
+        for b in inst.enumerate_carrier():
             if a is FAIL or b is FAIL:
                 continue
             assert inst.mcompose(a, b) == compose(a, b)
@@ -56,7 +56,7 @@ def test_f_object_is_the_chunk_system(pair_model):
 def test_f_arrow_identity_and_fail(backbone_model):
     ident = identity_arrow(backbone_model)
     fid = f_arrow(ident)
-    for x in ChunkAcs(backbone_model).enumerate_elements():
+    for x in ChunkAcs(backbone_model).enumerate_carrier():
         assert fid(x) == x
     assert fid(FAIL) is FAIL
 
@@ -224,7 +224,7 @@ def test_epsilon_is_monoid_map():
     fs = FiniteSetsAcs(("a", "b"))
     eps = g_object(fs)
     fg = ChunkAcs(eps.model)
-    elems = fg.enumerate_elements()
+    elems = fg.enumerate_carrier()
     for u in elems:
         for v in elems:
             assert eps.on_element(fg.mcompose(u, v)) == fs.mcompose(
