@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .atoms import NO_ATOMS, Atom, Atomless, Permutation, act, value_label
+from .atoms import Atom, Atomless, Permutation, act, value_label
 from .ieutxo import (
     FAIL,
     EMPTY_CHUNK,
@@ -255,9 +255,6 @@ class Var:
     def rename(self, perm: Permutation) -> "Var":
         return Var(perm(self.name))
 
-    def support(self) -> frozenset[Atom]:
-        return frozenset((self.name,))
-
     def label(self) -> str:
         return self.name
 
@@ -271,9 +268,6 @@ class Fn:
 
     def rename(self, perm: Permutation) -> "Fn":
         return Fn(self.symbol, tuple(a.rename(perm) for a in self.args))
-
-    def support(self) -> frozenset[Atom]:
-        return NO_ATOMS.union(*(a.support() for a in self.args))
 
     def label(self) -> str:
         if not self.args:
@@ -304,9 +298,6 @@ class Subst:
 
     def rename(self, perm: Permutation) -> "Subst":
         return Subst((perm(a), t.rename(perm)) for a, t in self.bindings)
-
-    def support(self) -> frozenset[Atom]:
-        return self.dom.union(*(t.support() for _, t in self.bindings))
 
     def label(self) -> str:
         body = ",".join(f"{a}:={t.label()}" for a, t in self.bindings)

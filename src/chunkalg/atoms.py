@@ -7,14 +7,15 @@ the JSON surface.
 
 Permutations are stored as finite maps that are bijections away from the
 identity.  They act on every structure in the library through the ``rename``
-protocol: a value that mentions atoms implements ``rename(perm)``, and
-:func:`act` dispatches on it.  Bare strings at the *top level* of ``act`` are
-treated as atoms; strings sitting in key/datum slots are opaque scalars and
-are left alone (see :func:`act_opaque`).
+protocol: a value that mentions atoms implements ``rename(perm)``, reading
+``perm`` only by calling it on atoms, and :func:`act` dispatches on it.
+Bare strings at the *top level* of ``act`` are treated as atoms; strings
+sitting in key/datum slots are opaque scalars and are left alone (see
+:func:`act_opaque`).
 
-The values kept in chunks and models also implement ``support()``, their
-nominal support: the atoms they mention, which :func:`support` reads the
-way :func:`act` renames.
+A value's nominal support, the atoms it mentions, is read off that action
+(:func:`support`): renaming is the one place that says where a value's
+atoms are, so no value spells its support out separately.
 """
 
 from __future__ import annotations
@@ -165,32 +166,30 @@ class Atomless:
     def rename(self, perm: Permutation) -> "Atomless":
         return self
 
-    def support(self) -> frozenset[Atom]:
-        return NO_ATOMS
-
 
 def support(value: Any) -> frozenset[Atom]:
-    """The atoms ``value`` mentions: exactly those :func:`act` can move.
+    """The atoms ``value`` mentions: those :func:`act` asks a permutation about.
 
-    Mirrors :func:`act` case by case, so a permutation that fixes the
-    support pointwise leaves the value equal to itself, and one that moves
-    a support atom to an atom outside it changes the value.
+    Renames ``value`` by a map that records each atom it is called on and
+    returns it unchanged.  This relies on one condition of every
+    ``rename``: it reads a permutation only by calling it on atoms.  So
+    every permutation that fixes the recorded atoms renames the value to
+    itself, and the recorded set is the value's support.
     """
-    if isinstance(value, str):
-        return frozenset((value,))
-    if isinstance(value, (int, float, bool)) or value is None:
-        return NO_ATOMS
-    own = getattr(value, "support", None)
-    if callable(own):
-        return own()
-    if isinstance(value, (tuple, list, frozenset)):
-        return NO_ATOMS.union(*map(support, value))
-    raise TypeError(f"no permutation action for {type(value).__name__}")
+    seen: set[Atom] = set()
+
+    def record(a: Atom) -> Atom:
+        seen.add(a)
+        return a
+
+    act(record, value)
+    return frozenset(seen)
 
 
 def support_opaque(value: Any) -> frozenset[Atom]:
-    """Support in key/datum slots, mirroring :func:`act_opaque`."""
-    if isinstance(value, str):
+    """Support in key/datum slots, mirroring :func:`act_opaque`: a scalar
+    there mentions no atom."""
+    if isinstance(value, (str, int, float, bool)) or value is None:
         return NO_ATOMS
     return support(value)
 

@@ -32,11 +32,12 @@ position is fresh.  Freshness shrinks the seam to that one position, so
 each probe comes down to one validator call; the fresh atoms are minted
 once per call, since they need only avoid the chunk's positions and the
 candidate's own.  Renaming is equivariant, and a permutation that fixes a
-value's support (the atoms it mentions, its ``support()``) leaves the
-value unchanged.  So a candidate whose keys, datums and validators mention
-no atom is probed by moving its positions alone; only a candidate with
-support is renamed by a permutation.  Which candidates are chunks on their
-own, and which are support-free, is found once, when the model is built.
+value's support (the atoms its renaming reads, :func:`~chunkalg.atoms.support`)
+leaves the value unchanged.  So a candidate whose keys, datums and
+validators mention no atom is probed by moving its positions alone; only a
+candidate with support is renamed by a permutation.  Which candidates are
+chunks on their own, and which are support-free, is found once, when the
+model is built, and the same facts validate the model's enumeration.
 """
 
 from __future__ import annotations
@@ -47,13 +48,13 @@ from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .atoms import (
-    NO_ATOMS,
     Atom,
     Atomless,
     Permutation,
     act,
     act_opaque,
     fresh_atoms,
+    support,
     support_opaque,
     value_label,
 )
@@ -88,9 +89,6 @@ class Input:
     def rename(self, perm: Permutation) -> "Input":
         return Input(perm(self.position), act_opaque(perm, self.key))
 
-    def support(self) -> frozenset[Atom]:
-        return support_opaque(self.key) | {self.position}
-
     def sort_key(self) -> tuple:
         return (self.position, value_label(self.key))
 
@@ -107,9 +105,6 @@ class Output:
             act_opaque(perm, self.datum),
             self.validator.rename(perm),
         )
-
-    def support(self) -> frozenset[Atom]:
-        return support_opaque(self.datum) | self.validator.support() | {self.position}
 
     def sort_key(self) -> tuple:
         return (self.position, value_label(self.datum), script_label(self.validator))
@@ -172,9 +167,6 @@ class Transaction:
             (i.rename(perm) for i in self.inputs),
             (o.rename(perm) for o in self.outputs),
         )
-
-    def support(self) -> frozenset[Atom]:
-        return NO_ATOMS.union(*(s.support() for s in self.inputs + self.outputs))
 
     def label(self) -> str:
         label = self._label
@@ -312,10 +304,9 @@ def check_chunk(txs: Union[Sequence[Transaction], "Chunk"]) -> ChunkReport:
     transaction's inputs before its outputs, positions in atom order.
     Reported ``tx_indices`` are (first occurrence, second occurrence) for
     duplicates and (input transaction, output transaction) for pointer and
-    validation faults.
+    validation faults.  A :class:`Chunk` is checked like any list of its
+    transactions: the reference trusts no type.
     """
-    if isinstance(txs, Chunk):
-        return ChunkReport(True, None)
     txs = tuple(txs)
     out_occ: dict[Atom, list[tuple[int, Output]]] = {}
     for t, tx in enumerate(txs):
@@ -452,9 +443,6 @@ class Chunk:
         # Renaming is equivariant, so the image of a chunk is a chunk.
         return Chunk._trusted(tuple(tx.rename(perm) for tx in self.txs))
 
-    def support(self) -> frozenset[Atom]:
-        return NO_ATOMS.union(*(tx.support() for tx in self.txs))
-
     def label(self) -> str:
         label = self._label
         if label is None:
@@ -590,10 +578,6 @@ def compose_all(parts: Iterable[ChunkOrFail]) -> ChunkOrFail:
 
 def is_sublist(small: Sequence, big: Sequence) -> bool:
     """Is ``small`` obtainable from ``big`` by deleting (never rearranging) items?"""
-    if isinstance(small, Chunk):
-        small = small.txs
-    if isinstance(big, Chunk):
-        big = big.txs
     it = iter(big)
     return all(any(item == other for other in it) for item in small)
 
@@ -678,7 +662,7 @@ def _probe_facts(tx: Transaction) -> Optional[tuple[Transaction, tuple[Atom, ...
     if not slots or len(positions) != len(slots):
         return None
     support_free = not any(support_opaque(i.key) for i in tx.inputs) and not any(
-        support_opaque(o.datum) or o.validator.support() for o in tx.outputs
+        support_opaque(o.datum) or support(o.validator) for o in tx.outputs
     )
     return tx, positions, support_free
 
@@ -697,8 +681,9 @@ class IeutxoModel:
     The model is immutable: the probe candidates that are chunks on their
     own, with their positions and whether they are support-free, are found
     once here (see :func:`_probe_facts`), not on every blocked-channel
-    query.  A model with another universe is a new model
-    (``dataclasses.replace``).
+    query.  Each enumerated transaction's facts are found once, and they
+    also decide whether it is a chunk on its own.  A model with another
+    universe is a new model (``dataclasses.replace``).
     """
 
     name: str
@@ -708,40 +693,37 @@ class IeutxoModel:
 
     def __post_init__(self):
         object.__setattr__(self, "transactions", tuple(self.transactions))
-        seen = set()
+        facts = {}
         for tx in self.transactions:
-            if tx.is_empty():
-                raise ModelError("models may not enumerate the empty transaction")
-            if not is_chunk((tx,)):
+            fact = _probe_facts(tx)
+            if fact is None:
+                if tx.is_empty():
+                    raise ModelError("models may not enumerate the empty transaction")
                 raise ModelError(
                     "enumerated transactions must be chunks on their own "
                     "(disjoint input/output channels, distinct positions)"
                 )
-            if tx in seen:
+            if tx in facts:
                 raise ModelError("duplicate transaction in model enumeration")
-            seen.add(tx)
+            facts[tx] = fact
         cands = self.probe_candidates
         cands = self.transactions if cands is None else tuple(cands)
         object.__setattr__(self, "probe_candidates", cands)
-        object.__setattr__(self, "_probes", tuple(filter(None, map(_probe_facts, cands))))
+        probes = (facts.get(c) or _probe_facts(c) for c in cands)
+        object.__setattr__(self, "_probes", tuple(filter(None, probes)))
 
 
-def enumerate_chunks(
-    model: IeutxoModel, max_len: Optional[int] = None
-) -> Iterator[Chunk]:
+def enumerate_chunks(model: IeutxoModel) -> Iterator[Chunk]:
     """All chunks buildable from the model's enumerated transactions.
 
     Transactions never repeat inside a chunk (every nonempty transaction has
-    a position, and repeats collide), so the walk terminates; prefixes of
-    chunks are chunks, which makes pruning safe.
+    a position, and repeats collide), so the walk uses each at most once and
+    terminates; prefixes of chunks are chunks, which makes pruning safe.
     """
     singles = [((tx,), _build_index((tx,))) for tx in model.transactions]
-    limit = len(singles) if max_len is None else min(max_len, len(singles))
 
     def walk(prefix: Chunk, used: frozenset[int]) -> Iterator[Chunk]:
         yield prefix
-        if len(prefix) >= limit:
-            return
         for idx, (single, index) in enumerate(singles):
             if idx in used:
                 continue
@@ -997,16 +979,6 @@ def arrow_check(f: IeutxoArrow) -> bool:
     return arrow_violation(f) is None
 
 
-def ensure_arrow(f: IeutxoArrow) -> IeutxoArrow:
-    bad = arrow_violation(f)
-    if bad is not None:
-        raise NotAnArrow(
-            f"pair ({bad[0].label()}, {bad[1].label()}) composes in the source "
-            "but its images do not"
-        )
-    return f
-
-
 def arrow_apply(
     f: IeutxoArrow, txs: Union[ChunkOrFail, Sequence[Transaction]]
 ) -> ChunkOrFail:
@@ -1029,6 +1001,4 @@ def arrow_compose(f: IeutxoArrow, g: IeutxoArrow) -> IeutxoArrow:
 
 
 def arrows_equal(f: IeutxoArrow, g: IeutxoArrow) -> bool:
-    if set(f.table) != set(g.table):
-        return False
-    return all(f(tx) == g(tx) for tx in f.table)
+    return f.table == g.table

@@ -6,10 +6,10 @@ script.  Scripts are compared by plain dataclass equality, so
 extensionally equal but structurally distinct scripts (``And(a, b)`` and
 ``And(b, a)``, or ``Not(Not(a))`` and ``a``) count as distinct validators;
 that refinement is deliberate and keeps validator identity decidable.
-Each node names the atoms it mentions through ``support()``, mirroring
-its ``rename``: ``input_position_in`` names its positions, a key or datum
-its atoms (strings there are opaque, those inside a tuple are atoms), and
-``acs_compose`` everything in its element.
+Each node's ``rename`` says where its atoms are, and its support is read
+off that (:func:`chunkalg.atoms.support`): ``input_position_in`` mentions
+its positions, a key or datum its atoms (strings there are opaque, those
+inside a tuple are atoms), and ``acs_compose`` everything in its element.
 
 A script is *point-local* (UTxO-style) when its decision depends only on the
 datum and on the distinguished input: every node kind here is point-local
@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Union
 
-from .atoms import Atom, Atomless, act_opaque, support_opaque, value_label
+from .atoms import Atom, Atomless, act_opaque, value_label
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,6 @@ class KeyEquals:
     def rename(self, perm):
         return KeyEquals(act_opaque(perm, self.key))
 
-    def support(self):
-        return support_opaque(self.key)
-
     def is_pure(self) -> bool:
         return True
 
@@ -75,9 +72,6 @@ class DatumEquals:
     def rename(self, perm):
         return DatumEquals(act_opaque(perm, self.datum))
 
-    def support(self):
-        return support_opaque(self.datum)
-
     def is_pure(self) -> bool:
         return True
 
@@ -93,9 +87,6 @@ class InputPositionIn:
 
     def rename(self, perm):
         return InputPositionIn(frozenset(perm(a) for a in self.positions))
-
-    def support(self):
-        return self.positions
 
     def is_pure(self) -> bool:
         return True
@@ -128,9 +119,6 @@ class Not:
     def rename(self, perm):
         return Not(self.body.rename(perm))
 
-    def support(self):
-        return self.body.support()
-
     def is_pure(self) -> bool:
         return self.body.is_pure()
 
@@ -146,9 +134,6 @@ class And:
     def rename(self, perm):
         return And(self.left.rename(perm), self.right.rename(perm))
 
-    def support(self):
-        return self.left.support() | self.right.support()
-
     def is_pure(self) -> bool:
         return self.left.is_pure() and self.right.is_pure()
 
@@ -163,9 +148,6 @@ class Or:
 
     def rename(self, perm):
         return Or(self.left.rename(perm), self.right.rename(perm))
-
-    def support(self):
-        return self.left.support() | self.right.support()
 
     def is_pure(self) -> bool:
         return self.left.is_pure() and self.right.is_pure()
@@ -207,9 +189,6 @@ class AcsCompose:
 
     def rename(self, perm):
         return AcsCompose(act_opaque(perm, self.element), self.inst)
-
-    def support(self):
-        return support_opaque(self.element)
 
     def is_pure(self) -> bool:
         return True

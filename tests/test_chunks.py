@@ -266,7 +266,7 @@ def renamed_chunks(draw):
     if draw(st.booleans()):
         chunks = [gen_valid_chunk(cfg, rng, close_inputs=draw(st.booleans())) for _ in range(3)]
     else:
-        chunks = list(enumerate_chunks(gen_model(cfg, rng, n_txs=4), max_len=3))
+        chunks = [c for c in enumerate_chunks(gen_model(cfg, rng, n_txs=4)) if len(c) <= 3]
     chunks.append(_NAMED)
     atoms = sorted(set().union(*map(pos, chunks)))
     atoms += [f"q{i}" for i in range(10)] + [f"u{i}" for i in range(len(atoms))]

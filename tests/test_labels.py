@@ -118,9 +118,9 @@ def _represented():
         model = gen_model(cfg, rng, name=f"labels-{i}", n_txs=3)
         plain = list(enumerate_chunks(model))
         gm = g_object(ChunkAcs(model))
-        represented = list(enumerate_chunks(gm.model, max_len=2))
+        represented = [c for c in enumerate_chunks(gm.model) if len(c) <= 2]
         gm2 = g_object(ChunkAcs(gm.model), represented[1:4])
-        out += plain + represented + list(enumerate_chunks(gm2.model, max_len=2))
+        out += plain + represented + [c for c in enumerate_chunks(gm2.model) if len(c) <= 2]
     return tuple(out)
 
 

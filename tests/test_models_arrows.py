@@ -16,7 +16,6 @@ from chunkalg.ieutxo import (
     arrow_violation,
     arrows_equal,
     enumerate_chunks,
-    ensure_arrow,
     identity_arrow,
     is_iutxo_model,
 )
@@ -63,8 +62,6 @@ def test_arrow_violation_detected(pair_model, pair_txs):
     bad = IeutxoArrow(pair_model, pair_model, table)
     assert arrow_violation(bad) == (tx, ty)
     assert not arrow_check(bad)
-    with pytest.raises(NotAnArrow):
-        ensure_arrow(bad)
 
 
 def test_arrow_table_must_cover_source(pair_model, pair_txs):
