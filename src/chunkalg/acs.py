@@ -515,7 +515,6 @@ class AcsArrow:
     source: AcsInstance
     target: AcsInstance
     fn: Callable[[Any], Any]
-    tag: str = "arrow"
 
     def __call__(self, x: Any) -> Any:
         return self.fn(x)
@@ -525,18 +524,16 @@ class AcsArrow:
 
 
 def identity_acs_arrow(inst: AcsInstance) -> AcsArrow:
-    return AcsArrow(inst, inst, lambda x: x, tag="id")
+    return AcsArrow(inst, inst, lambda x: x)
 
 
 def perm_acs_arrow(inst: AcsInstance, perm: Permutation) -> AcsArrow:
     """Renaming along an atom permutation; lawful because every instance
     operation is equivariant."""
-    return AcsArrow(inst, inst, lambda x: inst.act(perm, x), tag="perm")
+    return AcsArrow(inst, inst, lambda x: inst.act(perm, x))
 
 
-def acs_arrow_from_atomic_table(
-    source: AcsInstance, target: AcsInstance, table: dict, tag: str = "table"
-) -> AcsArrow:
+def acs_arrow_from_atomic_table(source: AcsInstance, target: AcsInstance, table: dict) -> AcsArrow:
     """Extend a table on atomics to the whole carrier via factorisation."""
 
     def fn(x):
@@ -549,12 +546,12 @@ def acs_arrow_from_atomic_table(
             out = target.mcompose(out, table[part])
         return out
 
-    return AcsArrow(source, target, fn, tag=tag)
+    return AcsArrow(source, target, fn)
 
 
 def compose_acs_arrows(f: AcsArrow, g: AcsArrow) -> AcsArrow:
     """The arrow doing ``f`` then ``g``."""
-    return AcsArrow(f.source, g.target, lambda x: g.fn(f.fn(x)), tag=f"{g.tag}∘{f.tag}")
+    return AcsArrow(f.source, g.target, lambda x: g.fn(f.fn(x)))
 
 
 def acs_arrows_equal(f: AcsArrow, g: AcsArrow) -> bool:

@@ -155,9 +155,6 @@ def act_opaque(perm: Permutation, value: Any) -> Any:
     return act(perm, value)
 
 
-NO_ATOMS: frozenset[Atom] = frozenset()
-
-
 class Atomless:
     """A value that mentions no atom, so every permutation fixes it."""
 
@@ -186,12 +183,25 @@ def support(value: Any) -> frozenset[Atom]:
     return frozenset(seen)
 
 
-def support_opaque(value: Any) -> frozenset[Atom]:
-    """Support in key/datum slots, mirroring :func:`act_opaque`: a scalar
-    there mentions no atom."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return NO_ATOMS
-    return support(value)
+class _AtomFound(Exception):
+    """Stops :func:`mentions_atoms`'s renaming at the first atom."""
+
+
+def mentions_atoms(value: Any) -> bool:
+    """Whether ``value``'s :func:`support` is nonempty.
+
+    Renames ``value`` as :func:`support` does, but by a map that raises at
+    the first atom it is called on, so no renamed copy is finished.
+    """
+
+    def stop(a: Atom) -> Atom:
+        raise _AtomFound
+
+    try:
+        act(stop, value)
+    except _AtomFound:
+        return True
+    return False
 
 
 def value_label(value: Any) -> str:

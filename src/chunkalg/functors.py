@@ -13,8 +13,11 @@ do.
 The unit and counit are maps of the represented model, ``GModel``.  The
 counit at an instance ``A``, read off G(A), collapses represented chunks
 back to products of their elements (a surjection; a bijection when the
-instance is perfectly atomic).  The unit at a model ``M``, read off
-G(F(M)) as ``eta`` builds it at every model, is a bijection between the
+instance is perfectly atomic).  The unit at a model ``M`` is read off
+G(F(M)), which ``eta`` builds at every model: each atomic of F(M) is the
+singleton of one transaction, so the unit is a table from ``M``'s
+transactions to the represented ones, an arrow of models like any
+``IeutxoArrow``.  Extended transactionwise, it is a bijection between the
 chunks of ``M`` and those of its round trip.  ``check_adjunction``
 verifies it all.
 """
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Optional, Sequence
 
 from .acs import AcsArrow, AcsInstance, ChunkAcs, identity_acs_arrow
@@ -56,15 +60,7 @@ def f_object(model: IeutxoModel) -> ChunkAcs:
 def f_arrow(f: IeutxoArrow) -> AcsArrow:
     """Chunkwise extension of an arrow: images compose transaction by
     transaction, and the failure element maps to the failure element."""
-    source = ChunkAcs(f.source)
-    target = ChunkAcs(f.target)
-
-    def fn(x: ChunkOrFail) -> ChunkOrFail:
-        if x is FAIL:
-            return FAIL
-        return arrow_apply(f, x)
-
-    return AcsArrow(source, target, fn, tag=f"F({f.source.name}->{f.target.name})")
+    return AcsArrow(ChunkAcs(f.source), ChunkAcs(f.target), partial(arrow_apply, f))
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +77,12 @@ class GModel:
     The counit at ``inst`` is a map of G(inst) (``as_acs_arrow``):
     ``on_element`` collapses a represented chunk to the product of its
     elements.  When ``inst`` is a model's chunk system ``ChunkAcs(M)``,
-    G(inst) is G(F(M)) and the unit at ``M`` is a map of it too
-    (``as_arrow``): ``on_tx``, ``on_list``, ``on_chunk`` send ``M``'s
-    transactions to the represented transactions of their singleton chunks,
-    and ``inverse_chunk`` undoes ``on_chunk``.
+    G(inst) is G(F(M)), each atomic is the singleton of one transaction of
+    ``M``, and ``unit`` reads ``tx_of`` as a table from ``M``'s
+    transactions to the represented ones: the unit at ``M``.  ``on_list``
+    and ``on_chunk`` extend it transactionwise, ``as_arrow`` is it as an
+    arrow, and ``on_element`` undoes it.  For any other instance the table
+    is empty, so they raise ``ModelError``.
     """
 
     inst: AcsInstance
@@ -92,6 +90,7 @@ class GModel:
     model: IeutxoModel
     tx_of: dict
     element_of: dict
+    unit: dict
 
     def transaction(self, x: Any) -> Transaction:
         try:
@@ -117,45 +116,33 @@ class GModel:
         return Chunk(tuple(self.transaction(y) for y in self.inst.factor(x)))
 
     def as_acs_arrow(self) -> AcsArrow:
-        return AcsArrow(
-            ChunkAcs(self.model),
-            self.inst,
-            self.on_element,
-            tag=f"epsilon({self.inst.name})",
-        )
-
-    def on_tx(self, tx: Transaction) -> Chunk:
-        return Chunk((self.transaction(Chunk((tx,))),))
+        return AcsArrow(ChunkAcs(self.model), self.inst, self.on_element)
 
     def on_list(self, txs: Sequence[Transaction]) -> tuple[Transaction, ...]:
-        return tuple(self.transaction(Chunk((tx,))) for tx in txs)
+        try:
+            return tuple(self.unit[tx] for tx in txs)
+        except KeyError as exc:
+            raise ModelError(
+                f"transaction not in the unit's source: {exc.args[0].label()}"
+            ) from None
 
     def on_chunk(self, x: ChunkOrFail) -> ChunkOrFail:
         if x is FAIL:
             return FAIL
         return Chunk(self.on_list(x.txs))
 
-    def inverse_chunk(self, x: ChunkOrFail) -> ChunkOrFail:
-        if x is FAIL:
-            return FAIL
-        parts = [self.element_of[tx] for tx in x.txs]  # singleton chunks
-        return Chunk(tuple(tx for part in parts for tx in part.txs))
-
     def as_arrow(self) -> IeutxoArrow:
-        source = self.inst.model
-        table = {tx: self.on_tx(tx) for tx in source.transactions}
-        return IeutxoArrow(source, self.model, table)
+        table = {tx: Chunk((image,)) for tx, image in self.unit.items()}
+        return IeutxoArrow(self.inst.model, self.model, table)
 
 
-def g_object(inst: AcsInstance, atomics: Optional[Sequence] = None) -> GModel:
-    """Materialize the represented model over the given atomic elements.
+def g_object(inst: AcsInstance) -> GModel:
+    """Materialize the represented model over the instance's atomic elements.
 
     The carrier may be infinite; the materialization boundary is the
     declared (finite) atomic enumeration.
     """
-    if atomics is None:
-        atomics = inst.atomic_elements()
-    atomics = tuple(atomics)
+    atomics = tuple(inst.atomic_elements())
     tx_of: dict = {}
     element_of: dict = {}
     for x in atomics:
@@ -168,7 +155,8 @@ def g_object(inst: AcsInstance, atomics: Optional[Sequence] = None) -> GModel:
         tx_of[x] = tx
         element_of[tx] = x
     model = IeutxoModel(f"G({inst.name})", tuple(tx_of[x] for x in atomics))
-    return GModel(inst, atomics, model, tx_of, element_of)
+    unit = {x.txs[0]: tx for x, tx in tx_of.items()} if isinstance(inst, ChunkAcs) else {}
+    return GModel(inst, atomics, model, tx_of, element_of, unit)
 
 
 def g_arrow(g: AcsArrow, gm_src: GModel, gm_tgt: GModel) -> IeutxoArrow:
@@ -233,7 +221,7 @@ def check_adjunction(
 
     bij = report.law("eta_bijective_on_chunks")
     chunks_src = et.inst.enumerate_carrier()[:-1]  # without FAIL
-    image = {et.on_chunk(c).txs for c in chunks_src}
+    image = {et.on_list(c.txs) for c in chunks_src}
     bij.check(len(image) == len(chunks_src), "unit not injective")
     # Enumerated on its own, not mapped from the unit: the law compares them.
     round_trip = ChunkAcs(et.model)
@@ -274,10 +262,8 @@ def check_adjunction(
                 units[m] = eta(m)
         et_src, et_tgt = units[f.source], units[f.target]
         gff = g_arrow(f_arrow(f), et_src, et_tgt)
-        lhs = {tx: et_tgt.on_chunk(f(tx)) for tx in f.source.transactions}
-        rhs = {
-            tx: arrow_apply(gff, et_src.on_tx(tx)) for tx in f.source.transactions
-        }
+        lhs = {tx: et_tgt.on_list(f(tx).txs) for tx in f.source.transactions}
+        rhs = {tx: gff(image).txs for tx, image in et_src.unit.items()}
         nat.check(lhs == rhs, "unit naturality square does not commute")
 
     # ---- instance side ----------------------------------------------
@@ -408,7 +394,7 @@ def iutxo_embedding_check(model: IeutxoModel, seed: int = 0, samples: int = 60) 
         )
 
     iso = report.law("round_trip_isomorphic")
-    chunks_img = {et.on_chunk(c).txs for c in et.inst.enumerate_carrier()[:-1]}
+    chunks_img = {et.on_list(c.txs) for c in et.inst.enumerate_carrier()[:-1]}
     chunks_tgt = {c.txs for c in enumerate_chunks(et.model)}
     iso.check(chunks_img == chunks_tgt, "round-trip chunk sets differ")
     iso.check(is_iutxo_model(et.model), "round-trip not point-local")

@@ -54,8 +54,7 @@ from .atoms import (
     act,
     act_opaque,
     fresh_atoms,
-    support,
-    support_opaque,
+    mentions_atoms,
     value_label,
 )
 from .scripts import Script, evaluate_script, script_is_pure, script_label
@@ -661,9 +660,10 @@ def _probe_facts(tx: Transaction) -> Optional[tuple[Transaction, tuple[Atom, ...
     positions = tuple(sorted({s.position for s in slots}))
     if not slots or len(positions) != len(slots):
         return None
-    support_free = not any(support_opaque(i.key) for i in tx.inputs) and not any(
-        support_opaque(o.datum) or support(o.validator) for o in tx.outputs
-    )
+    # Strings in key and datum slots are opaque scalars (see act_opaque).
+    opaque = [i.key for i in tx.inputs] + [o.datum for o in tx.outputs]
+    values = [v for v in opaque if not isinstance(v, str)] + [o.validator for o in tx.outputs]
+    support_free = not any(map(mentions_atoms, values))
     return tx, positions, support_free
 
 
@@ -979,14 +979,12 @@ def arrow_check(f: IeutxoArrow) -> bool:
     return arrow_violation(f) is None
 
 
-def arrow_apply(
-    f: IeutxoArrow, txs: Union[ChunkOrFail, Sequence[Transaction]]
-) -> ChunkOrFail:
-    """Extend the table to lists: act transactionwise and compose the images."""
-    if txs is FAIL:
+def arrow_apply(f: IeutxoArrow, x: ChunkOrFail) -> ChunkOrFail:
+    """Extend the table to chunks: act transactionwise and compose the
+    images; the failure element maps to itself."""
+    if x is FAIL:
         return FAIL
-    items = txs.txs if isinstance(txs, Chunk) else tuple(txs)
-    return compose_all(f(tx) for tx in items)
+    return compose_all(f(tx) for tx in x.txs)
 
 
 def arrow_compose(f: IeutxoArrow, g: IeutxoArrow) -> IeutxoArrow:

@@ -53,8 +53,10 @@ def test_each_represented_model_is_built_once_per_verdict(backbone_model, monkey
     the default identity arrows, and a supplied arrow given twice, reuse
     them, and so reuse their blocked-channel analysis.  Each chunk set is
     enumerated once: the model's, the round trip's, and F(G(inst))'s when
-    ``inst`` is not the model's own chunk system."""
-    counts = {"g_object": 0, "_blocked": 0, "enumerate_chunks": 0}
+    ``inst`` is not the model's own chunk system.  The last count is of
+    chunks validated by the ``Chunk`` constructor: the unit looks
+    transactions up in its table and builds no chunk to do so."""
+    counts = {"g_object": 0, "_blocked": 0, "enumerate_chunks": 0, "__post_init__": 0}
 
     def count_calls(module, name):
         original = getattr(module, name)
@@ -69,14 +71,16 @@ def test_each_represented_model_is_built_once_per_verdict(backbone_model, monkey
     count_calls(ieutxo, "_blocked")
     count_calls(acs, "enumerate_chunks")
     count_calls(functors, "enumerate_chunks")
+    count_calls(ieutxo.Chunk, "__post_init__")
     ident = identity_arrow(backbone_model)
     own = partial(ChunkAcs, backbone_model)
     for make, options, expected in (
-        (own, {"strict": True}, (2, 16, 2)),
-        (own, {"model_arrows": [ident, ident]}, (2, 16, 2)),
-        (FiniteSetsAcs, {}, (3, 16, 3)),
+        (own, {"strict": True}, (2, 16, 2, 119)),
+        (own, {}, (2, 16, 2, 119)),
+        (own, {"model_arrows": [ident, ident]}, (2, 16, 2, 123)),
+        (FiniteSetsAcs, {}, (3, 16, 3, 60)),
     ):
-        counts.update(g_object=0, _blocked=0, enumerate_chunks=0)
+        counts.update(g_object=0, _blocked=0, enumerate_chunks=0, __post_init__=0)
         report = check_adjunction(backbone_model, make(), seed=1, samples=40, **options)
         assert report.ok, options
         assert tuple(counts.values()) == expected, options

@@ -156,28 +156,60 @@ def test_g_arrow_multi_factor_image():
 
 
 def test_g_arrow_requires_materialization():
-    fs_small = FiniteSetsAcs(("a",))
-    fs_big = FiniteSetsAcs(("a", "b"))
-    gm_small = g_object(fs_small)
-    gm_partial = g_object(fs_big, atomics=[frozenset("a")])
-    arrow = AcsArrow(fs_small, fs_big, lambda x: frozenset("b") if x else x)
+    """An arrow whose image factors through an element that is not an
+    atomic of the target is not materialized in the target's
+    representation."""
+    one = FiniteSetsAcs(("a",))
+    su = SubstAcs(("a",), term_pool=(Fn("c"),))
+    unmaterialized = Subst([("a", Fn("d"))])
+    assert unmaterialized not in su.atomic_elements()
+    arrow = AcsArrow(one, su, lambda x: unmaterialized if x else su.bot)
     with pytest.raises(ModelError):
-        g_arrow(arrow, gm_small, gm_partial)
+        g_arrow(arrow, g_object(one), g_object(su))
 
 
 def test_eta_map(backbone_model, backbone):
+    """The unit sends each transaction to the one represented transaction
+    of its singleton chunk, keeping its positions, and the counit undoes it
+    chunkwise."""
     et = eta(backbone_model)
-    tx1, tx2, tx3, tx4 = backbone
-    image = et.on_tx(tx1)
-    assert len(image) == 1
-    # positions survive the round trip
+    unit = et.as_arrow()
+    assert arrow_check(unit)
     from chunkalg.ieutxo import pos
 
-    assert pos(image) == pos(tx1)
+    for tx in backbone:
+        image = unit(tx)
+        assert len(image) == 1
+        assert pos(image) == pos(tx)
+        assert image.txs == et.on_list((tx,))
+    tx1, tx2, tx3, tx4 = backbone
     ch = Chunk((tx1, tx2))
-    assert et.inverse_chunk(et.on_chunk(ch)) == ch
+    assert et.on_element(et.on_chunk(ch)) == ch
+    assert et.on_chunk(ch) == compose(unit(tx1), unit(tx2))
     assert et.on_chunk(FAIL) is FAIL
-    assert arrow_check(et.as_arrow())
+
+
+def test_unit_table_is_read_off_the_singletons():
+    """``on_list`` agrees, on every enumerated chunk of generated models,
+    with looking each transaction's singleton chunk up in ``tx_of``."""
+    for seed in range(4):
+        cfg = GenConfig(seed=seed)
+        model = gen_model(cfg, stream(cfg), name="m", n_txs=4)
+        et = eta(model)
+        for c in enumerate_chunks(model):
+            assert et.on_list(c.txs) == tuple(et.tx_of[Chunk((tx,))] for tx in c.txs)
+
+
+def test_unit_refuses_foreign_transactions(backbone_model, pair_txs):
+    et = eta(backbone_model)
+    with pytest.raises(ModelError):
+        et.on_list((pair_txs[0],))
+    with pytest.raises(ModelError):
+        et.on_chunk(Chunk((pair_txs[0],)))
+    gm = g_object(FiniteSetsAcs(("a", "b")))
+    for txs in (backbone_model.transactions[:1], gm.model.transactions[:1]):
+        with pytest.raises(ModelError):
+            gm.on_list(txs)
 
 
 def test_eta_preserves_and_reflects(backbone_model, backbone):

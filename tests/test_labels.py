@@ -119,7 +119,7 @@ def _represented():
         plain = list(enumerate_chunks(model))
         gm = g_object(ChunkAcs(model))
         represented = [c for c in enumerate_chunks(gm.model) if len(c) <= 2]
-        gm2 = g_object(ChunkAcs(gm.model), represented[1:4])
+        gm2 = g_object(ChunkAcs(gm.model))
         out += plain + represented + [c for c in enumerate_chunks(gm2.model) if len(c) <= 2]
     return tuple(out)
 

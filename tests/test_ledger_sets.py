@@ -2,12 +2,16 @@
 
 import pytest
 
+from chunkalg.atoms import Permutation
 from chunkalg.generators import GenConfig, gen_valid_chunk, stream
 from chunkalg.ieutxo import (
     Chunk,
     FAIL,
     IeutxoModel,
+    Input,
     NotAChunk,
+    Output,
+    Transaction,
     blocked_utxi,
     blocked_utxo,
     compose,
@@ -147,3 +151,24 @@ def test_probe_renaming_avoids_collisions(backbone_model, backbone):
     ch = Chunk((tx4,))
     assert "d" not in blocked_utxi(ch, backbone_model)
     assert blocked_utxi(ch, backbone_model) == frozenset()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "known defect: blocked_utxi probes one renaming per (candidate, slot),"
+        " sending the candidate's other positions to fresh atoms, but a"
+        " candidate with support can connect only under a renaming that sends"
+        " its support onto atoms the chunk's keys mention, so a blocked set"
+        " can be too large"
+    ),
+)
+def test_blocked_utxi_closes_over_every_renaming():
+    """``a`` is not blocked: the renaming r->w, p->a of ``cand`` outputs at
+    ``a`` a validator demanding the key ``("w",)`` that ``ch`` offers."""
+    cand = Transaction([Input("r", "k")], [Output("p", 0, KeyEquals(("r",)))])
+    model = IeutxoModel("m", (cand,))
+    ch = Chunk((Transaction([Input("a", ("w",))], []),))
+    renamed = Chunk((cand.rename(Permutation.extending({"r": "w", "p": "a"})),))
+    assert compose(renamed, ch) is not FAIL
+    assert blocked_utxi(ch, model) == frozenset()

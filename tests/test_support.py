@@ -10,9 +10,11 @@ sets, with keys and datums that are opaque strings, numbers, or tuples and
 sets whose strings are atoms, and ``acs_compose`` nodes whose element is a
 chunk, a finite set or a substitution.
 
-The model constructor reads each transaction's support-free flag and its
-singleton validity from one call of ``_probe_facts``; both are pinned
-against ``check_chunk`` here.
+``mentions_atoms``, the same renaming stopped at the first atom, is pinned
+against ``support``.  The model constructor reads each transaction's
+support-free flag and its singleton validity from one call of
+``_probe_facts``; validity is pinned against ``check_chunk`` here, and the
+flag against values with and without atoms.
 """
 
 import pytest
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunkalg.acs import Fn, Subst, TopElement, Var
-from chunkalg.atoms import Permutation, act, support, support_opaque, swap
+from chunkalg.atoms import Permutation, act, mentions_atoms, support, swap
 from chunkalg.functors import eta
 from chunkalg.generators import GenConfig, gen_transaction
 from chunkalg.ieutxo import (
@@ -151,6 +153,12 @@ def test_support_mirrors_rename(value, shuffled):
         assert act(swap(x, FRESH[0]), value) != value
 
 
+@given(values)
+@settings(max_examples=400, deadline=None)
+def test_mentions_atoms_is_nonempty_support(value):
+    assert mentions_atoms(value) == bool(support(value))
+
+
 def test_support_of_each_kind():
     chunk = Chunk((Transaction([Input("a", ("b", "k"))], [Output("c", "d", InputPositionIn(frozenset("e")))]),))
     cases = [
@@ -175,10 +183,6 @@ def test_support_of_each_kind():
     ]
     for value, expected in cases:
         assert support(value) == expected, value
-    for scalar in ("a", 3, 2.5, True, None):
-        assert support_opaque(scalar) == set()
-    assert support_opaque(("a",)) == {"a"}
-    assert support_opaque(chunk) == {"a", "b", "k", "c", "e"}
     with pytest.raises(TypeError):
         support(object())
 
@@ -227,7 +231,32 @@ def test_support_free_flags(backbone_model):
     assert not _support_free(Transaction([Input("a", ("a",))], []))
     assert _support_free(Transaction([Input("b", "b")], [Output("a", "a", KeyEquals("a"))]))
     assert not _support_free(Transaction([], [Output("a", 0, InputPositionIn(frozenset("a")))]))
+    # A key or datum that is a scalar mentions no atom; a string there is one.
+    for scalar in ("a", 3, 2.5, True, None):
+        assert _support_free(Transaction([Input("p", scalar)], [Output("q", scalar, AcceptAll())]))
+    chunk = Chunk((Transaction([Input("a", "k")], []),))
+    for payload in (("a",), frozenset("a"), chunk):
+        assert not _support_free(Transaction([Input("p", payload)], []))
+        assert not _support_free(Transaction([], [Output("p", payload, AcceptAll())]))
     assert all(facts[2] for facts in backbone_model._probes)
     represented = eta(backbone_model).model
     assert represented._probes
     assert not any(facts[2] for facts in represented._probes)
+
+
+def test_support_free_flags_rename_nothing(backbone_model, monkeypatch):
+    """Deciding that a represented transaction has support stops at its
+    first atom: building the represented model completes no renamed copy
+    of a transaction."""
+    represented = eta(backbone_model).model.transactions
+    completed = []
+    init = Transaction.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        completed.append(self)
+
+    monkeypatch.setattr(Transaction, "__init__", counted)
+    model = IeutxoModel("g", represented)
+    assert len(model._probes) == len(represented)
+    assert completed == []
