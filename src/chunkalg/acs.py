@@ -7,6 +7,11 @@ factorisation of non-top elements into atomic ones, and orientation oracles
 interface.  The axioms these must satisfy live in :mod:`chunkalg.axioms`;
 instances only provide the data.
 
+Each shipped instance is a partial monoid made total by adjoining one
+absorbing failure element, an interned
+:class:`~chunkalg.ieutxo.TopElement` (a model's chunks share
+:data:`~chunkalg.ieutxo.FAIL`), so a top is tested by identity.
+
 Three instances ship:
 
 * :class:`FiniteSetsAcs` — finite atom sets under disjoint union, failing on
@@ -24,12 +29,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .atoms import Atom, Atomless, Permutation, act, value_label
+from .atoms import Atom, Permutation, act, value_label
 from .ieutxo import (
     FAIL,
     EMPTY_CHUNK,
     Chunk,
     IeutxoModel,
+    TopElement,
     blocked_utxi,
     blocked_utxo,
     chunk_leq,
@@ -38,33 +44,6 @@ from .ieutxo import (
     ledger_sets,
     pos,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class TopElement(Atomless):
-    """A formal failure element for instances whose carrier lacks one.
-
-    Interned: there is one object per tag, so two instances built
-    separately share their top, and equality with a top is identity.
-    """
-
-    tag: str
-    _interned = {}
-
-    def __new__(cls, tag: str) -> "TopElement":
-        top = cls._interned.get(tag)
-        if top is None:
-            top = cls._interned[tag] = super().__new__(cls)
-        return top
-
-    def __reduce__(self):
-        return (TopElement, (self.tag,))
-
-    def label(self) -> str:
-        return f"top:{self.tag}"
-
-    def __repr__(self) -> str:
-        return f"<top {self.tag}>"
 
 
 class AcsInstance:
@@ -84,10 +63,11 @@ class AcsInstance:
 
     def is_top(self, x: Any) -> bool:
         top = self.top
-        # A TopElement is interned, so only an instance whose top is a
-        # carrier value needs an equality test.  FiniteSetsAcs and SubstAcs
-        # test their own top by identity in mcompose and leq, and a subclass
-        # that gives either a carrier-valued top overrides both.
+        # Every shipped instance's top is an interned TopElement (FAIL
+        # included), so only an instance whose top is a carrier value needs
+        # an equality test.  The shipped instances also test their own top
+        # by identity in mcompose and leq, so a subclass that gives one a
+        # carrier-valued top overrides both.
         return x is top or (not isinstance(top, TopElement) and x == top)
 
     def is_bot(self, x: Any) -> bool:
@@ -293,6 +273,15 @@ class Subst:
         object.__setattr__(self, "bindings", tuple(items))
         object.__setattr__(self, "dom", frozenset(a for a, _ in items))
 
+    @classmethod
+    def _trusted(cls, bindings: tuple, dom: frozenset[Atom]) -> "Subst":
+        """The substitution of ``bindings``, already sorted by distinct
+        atoms, whose bound atoms are ``dom``."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "bindings", bindings)
+        object.__setattr__(out, "dom", dom)
+        return out
+
     def mapping(self) -> dict:
         return dict(self.bindings)
 
@@ -342,7 +331,9 @@ class SubstAcs(AcsInstance):
         top = self.top
         if x is top or y is top or x.dom & y.dom:
             return top
-        return Subst(x.bindings + y.bindings)
+        # The domains are disjoint, so sorting the two sorted runs merges
+        # them and compares atoms only.
+        return Subst._trusted(tuple(sorted(x.bindings + y.bindings)), x.dom | y.dom)
 
     def is_atomic(self, x) -> bool:
         return not self.is_top(x) and len(x.bindings) == 1
@@ -435,9 +426,6 @@ class ChunkAcs(AcsInstance):
     def mcompose(self, x, y):
         return compose(x, y)
 
-    def is_top(self, x) -> bool:
-        return x is FAIL
-
     def is_atomic(self, x) -> bool:
         return isinstance(x, Chunk) and len(x) == 1
 
@@ -482,9 +470,6 @@ class ChunkAcs(AcsInstance):
 
     def up(self, x) -> frozenset[Atom]:
         return frozenset() if x is FAIL else self._split(x)[2]
-
-    def act(self, perm: Permutation, x):
-        return FAIL if x is FAIL else x.rename(perm)
 
     def enumerate_carrier(self) -> list:
         """The model's chunks in label order, then FAIL, as a fresh list;

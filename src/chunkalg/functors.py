@@ -132,6 +132,8 @@ class GModel:
         return Chunk(self.on_list(x.txs))
 
     def as_arrow(self) -> IeutxoArrow:
+        if not isinstance(self.inst, ChunkAcs):
+            raise ModelError(f"{self.inst.name} is not a model's chunk system")
         table = {tx: Chunk((image,)) for tx, image in self.unit.items()}
         return IeutxoArrow(self.inst.model, self.model, table)
 

@@ -22,8 +22,10 @@ it, and build a chunk, by the one trusted constructor, only where they
 return one; :class:`Chunk` built directly validates the whole list with
 :func:`check_chunk`, the from-scratch reference.  Totalizing the partial
 composition with the absorbing :data:`FAIL` element turns the chunk set into
-a monoid with an explicit failure top.  A *blockchain* is a chunk with no
-unspent inputs.
+a monoid with an explicit failure top.  ``FAIL`` is an interned
+:class:`TopElement`, the kind of failure element every chunk system in
+:mod:`chunkalg.acs` adjoins (each under its own tag), so a top is tested
+by identity.  A *blockchain* is a chunk with no unspent inputs.
 
 Blocked-channel analysis probes each unspent input or output with the
 model's probe candidates (its enumeration unless it declares others),
@@ -459,26 +461,36 @@ class Chunk:
     __getstate__ = _unhashed_state
 
 
-class _Fail(Atomless):
-    """The absorbing failure element adjoined to the chunk monoid."""
+@dataclass(frozen=True, eq=False)
+class TopElement(Atomless):
+    """The absorbing failure element adjoined to a partial monoid.
 
-    _instance: Optional["_Fail"] = None
+    Interned: there is one object per tag, so two chunk systems built
+    separately share their top, and equality with a top is identity.
+    """
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    tag: str
+    _interned = {}
+
+    def __new__(cls, tag: str) -> "TopElement":
+        top = cls._interned.get(tag)
+        if top is None:
+            top = cls._interned[tag] = super().__new__(cls)
+        return top
+
+    def __reduce__(self):
+        return (TopElement, (self.tag,))
 
     def label(self) -> str:
-        return "FAIL"
+        return f"top:{self.tag}"
 
     def __repr__(self) -> str:
-        return "FAIL"
+        return f"<top {self.tag}>"
 
 
-FAIL = _Fail()
+FAIL = TopElement("chunks")
 
-ChunkOrFail = Union[Chunk, _Fail]
+ChunkOrFail = Union[Chunk, TopElement]
 
 
 class _Index(NamedTuple):

@@ -31,17 +31,11 @@ class AcceptAll(Atomless):
     def evaluate(self, datum: Any, ptx: "PointedTransaction") -> bool:  # noqa: F821
         return True
 
-    def is_pure(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class RejectAll(Atomless):
     def evaluate(self, datum, ptx) -> bool:
         return False
-
-    def is_pure(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -56,9 +50,6 @@ class KeyEquals:
     def rename(self, perm):
         return KeyEquals(act_opaque(perm, self.key))
 
-    def is_pure(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class DatumEquals:
@@ -72,9 +63,6 @@ class DatumEquals:
     def rename(self, perm):
         return DatumEquals(act_opaque(perm, self.datum))
 
-    def is_pure(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class InputPositionIn:
@@ -87,9 +75,6 @@ class InputPositionIn:
 
     def rename(self, perm):
         return InputPositionIn(frozenset(perm(a) for a in self.positions))
-
-    def is_pure(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -105,9 +90,6 @@ class SpendsAtMostNInputs(Atomless):
     def evaluate(self, datum, ptx) -> bool:
         return len(ptx.transaction.inputs) <= self.limit
 
-    def is_pure(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class Not:
@@ -118,9 +100,6 @@ class Not:
 
     def rename(self, perm):
         return Not(self.body.rename(perm))
-
-    def is_pure(self) -> bool:
-        return self.body.is_pure()
 
 
 @dataclass(frozen=True)
@@ -134,9 +113,6 @@ class And:
     def rename(self, perm):
         return And(self.left.rename(perm), self.right.rename(perm))
 
-    def is_pure(self) -> bool:
-        return self.left.is_pure() and self.right.is_pure()
-
 
 @dataclass(frozen=True)
 class Or:
@@ -148,9 +124,6 @@ class Or:
 
     def rename(self, perm):
         return Or(self.left.rename(perm), self.right.rename(perm))
-
-    def is_pure(self) -> bool:
-        return self.left.is_pure() and self.right.is_pure()
 
 
 @dataclass(frozen=True)
@@ -190,9 +163,6 @@ class AcsCompose:
     def rename(self, perm):
         return AcsCompose(act_opaque(perm, self.element), self.inst)
 
-    def is_pure(self) -> bool:
-        return True
-
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
@@ -223,8 +193,18 @@ def evaluate_script(script: Script, datum: Any, ptx) -> bool:
 
 
 def script_is_pure(script: Script) -> bool:
-    """True when the script's decision depends only on the datum and the point."""
-    return script.is_pure()
+    """True when the script's decision depends only on the datum and the point.
+
+    Only ``SpendsAtMostNInputs`` reads the spending transaction, and the
+    combinators are point-local exactly when their operands are.
+    """
+    if isinstance(script, SpendsAtMostNInputs):
+        return False
+    if isinstance(script, Not):
+        return script_is_pure(script.body)
+    if isinstance(script, (And, Or)):
+        return script_is_pure(script.left) and script_is_pure(script.right)
+    return True
 
 
 def script_to_obj(script: Script) -> dict:

@@ -82,6 +82,17 @@ def test_subst_composition(su):
     assert su.mcompose(sa, clash) is su.top  # overlap is about domains only
 
 
+def test_subst_composition_merges_like_the_constructor():
+    inst = SubstAcs(("a", "b", "c", "d"), term_pool=(Fn("c"), Fn("f", ())))
+    carrier = inst.enumerate_carrier()[:-1]
+    pairs = [(x, y) for x in carrier for y in carrier if not x.dom & y.dom]
+    assert len(pairs) == 5**4
+    for x, y in pairs:
+        got, want = inst.mcompose(x, y), Subst(x.bindings + y.bindings)
+        assert got.bindings == want.bindings and got.dom == want.dom
+        assert inst.label(got) == inst.label(want) and hash(got) == hash(want)
+
+
 def test_subst_order_is_submap(su):
     sa = Subst((("a", Fn("c")),))
     sa2 = Subst((("a", Var("a")),))

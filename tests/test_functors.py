@@ -212,6 +212,12 @@ def test_unit_refuses_foreign_transactions(backbone_model, pair_txs):
             gm.on_list(txs)
 
 
+def test_unit_arrow_needs_a_models_chunk_system():
+    for inst in (FiniteSetsAcs(("a",)), SubstAcs(("a",))):
+        with pytest.raises(ModelError, match="not a model's chunk system"):
+            g_object(inst).as_arrow()
+
+
 def test_eta_preserves_and_reflects(backbone_model, backbone):
     et = eta(backbone_model)
     tx1, tx2, tx3, tx4 = backbone

@@ -5,18 +5,20 @@ sort_keys=True, separators=(",", ":"))`` and the same form built from an
 independent walk that reads no kept label.
 Transactions, chunks and ``AcsCompose`` nodes keep their label and hash
 after first use; each is compared with an independent recomputation, also
-after renaming.  ``is_top`` tests interned tops by identity, which must not change
-what counts as top.
+after renaming.  ``is_top`` tests interned tops, ``FAIL`` among them, by
+identity, which must not change what counts as top.
 """
 
+import copy
 import json
+import pickle
 from functools import lru_cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chunkalg.acs import ChunkAcs, FiniteSetsAcs, Fn, Subst, SubstAcs, TopElement, Var
-from chunkalg.atoms import Permutation, value_label
+from chunkalg.atoms import Permutation, act, value_label
 from chunkalg.functors import g_object
 from chunkalg.generators import GenConfig, gen_model, stream
 from chunkalg.ieutxo import (
@@ -337,6 +339,18 @@ def test_is_top_subst_and_chunks(backbone_model):
     assert not a.is_top(x) and not a.is_top(a.bot)
     inst = ChunkAcs(backbone_model)
     assert inst.is_top(FAIL) and not inst.is_top(EMPTY_CHUNK)
+
+
+def test_fail_is_the_interned_chunk_top(backbone_model, pair_model):
+    assert isinstance(FAIL, TopElement) and FAIL is TopElement(FAIL.tag)
+    assert pickle.loads(pickle.dumps(FAIL)) is FAIL and copy.deepcopy(FAIL) is FAIL
+    perm = Permutation.swap("a", "z")
+    a, b = ChunkAcs(backbone_model), ChunkAcs(pair_model)
+    assert act(perm, FAIL) is FAIL and a.act(perm, FAIL) is FAIL
+    assert a.top is b.top is FAIL
+    assert a.is_top(b.top) and b.is_top(a.top)
+    assert not FiniteSetsAcs().is_top(FAIL) and not SubstAcs().is_top(FAIL)
+    assert "is_top" not in vars(ChunkAcs) and "act" not in vars(ChunkAcs)
 
 
 def test_is_top_on_a_carrier_valued_top():

@@ -1,13 +1,16 @@
+import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chunkalg
 from chunkalg.acs import ChunkAcs, FiniteSetsAcs, Fn, Subst, SubstAcs
 from chunkalg.atoms import swap
-from chunkalg.ieutxo import EMPTY_CHUNK, Input, PointedTransaction, Transaction
+from chunkalg.ieutxo import EMPTY_CHUNK, Chunk, Input, Output, PointedTransaction, Transaction
 from chunkalg.scripts import (
     AcceptAll,
     And,
@@ -74,6 +77,38 @@ def test_purity():
     assert not script_is_pure(SpendsAtMostNInputs(3))
     assert not script_is_pure(Not(SpendsAtMostNInputs(3)))
     assert not script_is_pure(And(AcceptAll(), SpendsAtMostNInputs(3)))
+
+
+# Point-local, though the label of its element names a non-local node.
+_ELEMENT_WITH_IMPURE_OUTPUT = Chunk((Transaction((), [Output("b", 0, SpendsAtMostNInputs(1))]),))
+_leaf_scripts = st.one_of(
+    st.just(AcceptAll()),
+    st.just(RejectAll()),
+    st.integers(0, 2).map(KeyEquals),
+    st.integers(0, 2).map(DatumEquals),
+    st.frozensets(st.sampled_from("ab"), max_size=2).map(InputPositionIn),
+    st.integers(0, 3).map(SpendsAtMostNInputs),
+    st.just(AcsCompose(_ELEMENT_WITH_IMPURE_OUTPUT, None)),
+)
+_scripts = st.recursive(
+    _leaf_scripts,
+    lambda s: st.one_of(st.builds(Not, s), st.builds(And, s, s), st.builds(Or, s, s)),
+    max_leaves=6,
+)
+
+
+def _node_kinds(obj):
+    if isinstance(obj, dict):
+        yield obj.get("node")
+        for v in obj.values():
+            yield from _node_kinds(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scripts)
+def test_purity_is_the_absence_of_a_spends_at_most_node(script):
+    kinds = set(_node_kinds(json.loads(script_label(script))))
+    assert script_is_pure(script) == ("spends_at_most_n_inputs" not in kinds)
 
 
 def test_rename_touches_position_literals_not_keys():
