@@ -157,11 +157,6 @@ def obs_equiv_probe(
     return True
 
 
-def commute_probe(x: Any, y: Any, probes: Iterable[Any], inst: AcsInstance) -> bool:
-    """Do ``x·y`` and ``y·x`` agree up to probe-based observation?"""
-    return obs_equiv_probe(inst.mcompose(x, y), inst.mcompose(y, x), probes, inst)
-
-
 # ---------------------------------------------------------------------------
 # Finite atom sets
 

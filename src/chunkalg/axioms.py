@@ -13,6 +13,13 @@ through the :class:`LawResult` that call returns and returns the report.
 An optional law is declared only when it is reported, so a law left out
 is never checked.
 
+Within one call a checker reads each sample's data once (its orientation,
+its factors, its image under an arrow, its order against every other
+sample) and composes each drawn pair once in each order.  This assumes that
+``mcompose``, ``leq``, ``factor``, the orientation oracles and arrows are
+functions of their arguments, as every shipped instance's are.  Nothing is
+kept past the call.
+
 Well-foundedness of the order is checked as antisymmetry plus acyclicity of
 the strict order restricted to the sample; the property is not decidable
 abstractly.
@@ -31,10 +38,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 from typing import Any, Iterable, Optional, Sequence
 
 from .atoms import Atom, Permutation, fresh_atoms
-from .acs import AcsArrow, AcsInstance, commute_probe, in_leftB, in_rightB
+from .acs import AcsArrow, AcsInstance, in_leftB, in_rightB, obs_equiv_probe
 from .ieutxo import is_sublist
 
 
@@ -151,34 +159,30 @@ def monoid_axiom_check(
     incr = report.law("increasing", inst)
     local = report.law("locality_of_failure", inst)
 
-    for x in samples:
+    n = len(samples)
+    le = [[leq(x, y) for y in samples] for x in samples]
+    for i, x in enumerate(samples):
         unit.check(mc(bot, x) == x and mc(x, bot) == x, x)
         absorb.check(inst.is_top(mc(top, x)) and inst.is_top(mc(x, top)), x)
-        order.check(leq(x, x), x)
+        order.check(le[i][i], x)
         bounds.check(leq(bot, x) and leq(x, top), x)
 
-    for x, y in _tuples(samples, 2, seed + 1, pair_cap):
-        order.check(not (leq(x, y) and leq(y, x)) or x == y, x, y)
+    for i, j in _tuples(range(n), 2, seed + 1, pair_cap):
+        x, y = samples[i], samples[j]
+        order.check(not (le[i][j] and le[j][i]) or x == y, x, y)
         z = mc(x, y)
         incr.check(leq(x, z) and leq(y, z), x, y)
 
-    for x, y, z in _tuples(samples, 3, seed + 2, triple_cap):
+    for i, j, k in _tuples(range(n), 3, seed + 2, triple_cap):
+        x, y, z = samples[i], samples[j], samples[k]
         assoc.check(mc(mc(x, y), z) == mc(x, mc(y, z)), x, y, z)
-        if leq(x, y):
-            order.check(not leq(y, z) or leq(x, z), x, y, z)
+        if le[i][j]:
+            order.check(not le[j][k] or le[i][k], x, y, z)
             mono.check(leq(mc(x, z), mc(y, z)) and leq(mc(z, x), mc(z, y)), x, y, z)
 
-    # acyclicity of the strict order on the sample
-    strict = {
-        (i, j)
-        for i, x in enumerate(samples)
-        for j, y in enumerate(samples)
-        if x != y and leq(x, y)
-    }
-    wf.check(_acyclic(strict, len(samples)))
+    wf.check(_acyclic(samples, le))
 
     rng = random.Random(seed + 3)
-    n = len(samples)
     for _ in range(list_samples if n else 0):
         k = rng.randint(2, 5)
         xs = [samples[rng.randrange(n)] for _ in range(k)]
@@ -197,25 +201,17 @@ def monoid_axiom_check(
     return report
 
 
-def _acyclic(edges: set, n: int) -> bool:
-    color = [0] * n
-    adj: dict[int, list[int]] = {}
-    for i, j in edges:
-        adj.setdefault(i, []).append(j)
-
-    def visit(i: int) -> bool:
-        if color[i] == 1:
-            return False
-        if color[i] == 2:
-            return True
-        color[i] = 1
-        for j in adj.get(i, ()):
-            if not visit(j):
-                return False
-        color[i] = 2
-        return True
-
-    return all(visit(i) for i in range(n))
+def _acyclic(samples: Sequence, le: Sequence[Sequence[bool]]) -> bool:
+    """Is the strict order among the samples, read off ``le``, acyclic?"""
+    preds = {
+        j: [i for i, x in enumerate(samples) if le[i][j] and x != y]
+        for j, y in enumerate(samples)
+    }
+    try:
+        TopologicalSorter(preds).prepare()
+    except CycleError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +249,8 @@ def oriented_axiom_check(
     if include_up_composition:
         up_comp = report.law("up_of_composition_bounded", inst)
 
-    for x in samples:
-        p = inst.posi(x)
-        left, right, up = inst.left(x), inst.right(x), inst.up(x)
+    orient = [(inst.posi(x), inst.left(x), inst.right(x), inst.up(x)) for x in samples]
+    for x, (p, left, right, up) in zip(samples, orient):
         finite.check(isinstance(p, frozenset) and len(p) < 10_000, x)
         is_unit_or_top = inst.is_bot(x) or inst.is_top(x)
         empty_iff.check((not p) == is_unit_or_top, x)
@@ -264,32 +259,24 @@ def oriented_axiom_check(
         )
         lr_disjoint.check(not (left & right), x)
 
-    for x, y in _tuples(samples, 2, seed + 1, pair_cap):
-        px, py = inst.posi(x), inst.posi(y)
-        xy = mc(x, y)
-        if inst.left(x) & inst.right(y):
+    for i, j in _tuples(range(len(samples)), 2, seed + 1, pair_cap):
+        x, y = samples[i], samples[j]
+        (px, lx, rx, ux), (py, ly, ry, uy) = orient[i], orient[j]
+        xy, yx = mc(x, y), mc(y, x)
+        if lx & ry:
             clash.check(inst.is_top(xy), x, y)
         if not (px & py):
-            fresh_commute.check(commute_probe(x, y, probes, inst), x, y)
+            fresh_commute.check(obs_equiv_probe(xy, yx, probes, inst), x, y)
             if not inst.is_top(x) and not inst.is_top(y):
                 fresh_defined.check(not inst.is_top(xy), x, y)
         else:
-            one_fails.check(
-                inst.is_top(xy) or inst.is_top(mc(y, x)), x, y
-            )
-        if inst.up(x) & py:
-            up_fail.check(inst.is_top(xy) and inst.is_top(mc(y, x)), x, y)
+            one_fails.check(inst.is_top(xy) or inst.is_top(yx), x, y)
+        if ux & py:
+            up_fail.check(inst.is_top(xy) and inst.is_top(yx), x, y)
         if not inst.is_top(xy):
-            make_link.check(
-                (px & py) <= (inst.right(x) & inst.left(y)), x, y
-            )
+            make_link.check((px & py) <= (rx & ly), x, y)
             if include_up_composition:
-                up_comp.check(
-                    inst.up(xy)
-                    <= inst.up(x) | inst.up(y) | (inst.right(x) & inst.left(y)),
-                    x,
-                    y,
-                )
+                up_comp.check(inst.up(xy) <= ux | uy | (rx & ly), x, y)
     return report
 
 
@@ -329,12 +316,12 @@ def atomic_axiom_check(
         return out
 
     non_top = [x for x in samples if not inst.is_top(x)]
-    for x in non_top:
-        parts = inst.factor(x)
+    factors = [inst.factor(x) for x in non_top]
+    for x, parts in zip(non_top, factors):
         recompose.check(product(parts) == x, x)
         atomic_parts.check(all(inst.is_atomic(p) for p in parts), x)
         if inst.is_atomic(x):
-            atomic_single.check(inst.factor(x) == [x], x)
+            atomic_single.check(parts == [x], x)
         if strict and len(parts) <= 5:
             # any reordering that still recomposes to x would be a second
             # factorisation
@@ -345,16 +332,17 @@ def atomic_axiom_check(
             )
             unique.check(ok, x)
 
-    for x, y in _tuples(non_top, 2, seed + 1, pair_cap):
+    for i, j in _tuples(range(len(non_top)), 2, seed + 1, pair_cap):
+        x, y = non_top[i], non_top[j]
         xy = mc(x, y)
         if inst.is_top(xy):
             continue
-        cat = inst.factor(x) + inst.factor(y)
+        cat = factors[i] + factors[j]
         hom.check(product(cat) == xy, x, y)
         if strict:
             hom_literal.check(inst.factor(xy) == cat, x, y)
             if inst.leq(x, y):
-                sub.check(is_sublist(inst.factor(x), inst.factor(y)), x, y)
+                sub.check(is_sublist(factors[i], factors[j]), x, y)
     return report
 
 
@@ -375,13 +363,15 @@ def partial_converse_check(
     probes = list(probes) if probes is not None else samples
     report = AxiomReport(inst.name, "partial_converse")
     law = report.law("freshness_three_way_equivalence", inst)
-    for x, y in _tuples(samples, 2, seed, pair_cap):
+    posis = [inst.posi(x) for x in samples]
+    for i, j in _tuples(range(len(samples)), 2, seed, pair_cap):
+        x, y = samples[i], samples[j]
         xy, yx = inst.mcompose(x, y), inst.mcompose(y, x)
         if inst.is_top(xy) and inst.is_top(yx):
             continue
-        disjoint = not (inst.posi(x) & inst.posi(y))
+        disjoint = not (posis[i] & posis[j])
         both = not inst.is_top(xy) and not inst.is_top(yx)
-        commute = commute_probe(x, y, probes, inst)
+        commute = obs_equiv_probe(xy, yx, probes, inst)
         law.check(disjoint == both == commute, x, y)
     return report
 
@@ -484,12 +474,12 @@ def acs_arrow_check(
     hom = report.law("monoid_homomorphism", src)
     fixed.check(arrow(src.bot) == tgt.bot and arrow(src.top) == tgt.top)
     samples = list(samples)
-    for x, y in _tuples(samples, 2, seed, pair_cap):
+    images = [arrow(x) for x in samples]
+    for i, j in _tuples(range(len(samples)), 2, seed, pair_cap):
+        x, y = samples[i], samples[j]
         if src.leq(x, y) and not src.is_top(y):
             strict_below.check(
-                tgt.leq(arrow(x), arrow(y)) and not tgt.is_top(arrow(y)), x, y
+                tgt.leq(images[i], images[j]) and not tgt.is_top(images[j]), x, y
             )
-        hom.check(
-            tgt.mcompose(arrow(x), arrow(y)) == arrow(src.mcompose(x, y)), x, y
-        )
+        hom.check(tgt.mcompose(images[i], images[j]) == arrow(src.mcompose(x, y)), x, y)
     return report

@@ -351,16 +351,6 @@ def check_adjunction(
     return report
 
 
-def adjunction_payload(report: AxiomReport, model: IeutxoModel, inst: AcsInstance) -> dict:
-    """Report payload: the law table plus the choices the checks depend on."""
-    return {
-        "report": report.to_obj(),
-        "materialized_atomics": len(inst.atomic_elements()),
-        "factor_choice": "instance canonical factorisation",
-        "model_transactions": len(model.transactions),
-    }
-
-
 # ---------------------------------------------------------------------------
 # The point-local embedding
 

@@ -288,8 +288,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class ChunkReport:
-    ok: bool
     violation: Optional[Violation] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.violation is None
 
     def to_obj(self) -> dict:
         return {
@@ -318,20 +321,18 @@ def check_chunk(txs: Union[Sequence[Transaction], "Chunk"]) -> ChunkReport:
     for t, tx in enumerate(txs):
         if tx.is_empty():
             return ChunkReport(
-                False, Violation(EMPTY_TRANSACTION, (), (t,), "empty transaction")
+                Violation(EMPTY_TRANSACTION, (), (t,), "empty transaction")
             )
         for i in tx.inputs:
             p = i.position
             if p in seen_inputs:
                 return ChunkReport(
-                    False,
                     Violation(DUPLICATE_INPUT_POSITION, (p,), (seen_inputs[p], t)),
                 )
             seen_inputs[p] = t
             occ = out_occ.get(p, ())
             if len(occ) > 1:
                 return ChunkReport(
-                    False,
                     Violation(
                         DUPLICATE_OUTPUT_POSITION, (p,), (occ[0][0], occ[1][0])
                     ),
@@ -340,7 +341,6 @@ def check_chunk(txs: Union[Sequence[Transaction], "Chunk"]) -> ChunkReport:
                 ot, o = occ[0]
                 if ot >= t:
                     return ChunkReport(
-                        False,
                         Violation(
                             BACKWARD_OR_SELF_POINTER,
                             (p,),
@@ -350,7 +350,6 @@ def check_chunk(txs: Union[Sequence[Transaction], "Chunk"]) -> ChunkReport:
                     )
                 if not validates(o, PointedTransaction(tx, i)):
                     return ChunkReport(
-                        False,
                         Violation(
                             VALIDATION_FAILED,
                             (p,),
@@ -362,11 +361,10 @@ def check_chunk(txs: Union[Sequence[Transaction], "Chunk"]) -> ChunkReport:
             p = o.position
             if p in seen_outputs:
                 return ChunkReport(
-                    False,
                     Violation(DUPLICATE_OUTPUT_POSITION, (p,), (seen_outputs[p], t)),
                 )
             seen_outputs[p] = t
-    return ChunkReport(True, None)
+    return ChunkReport()
 
 
 def is_chunk(txs: Union[Sequence[Transaction], "Chunk"]) -> bool:
@@ -600,13 +598,6 @@ def chunk_leq(x: ChunkOrFail, y: ChunkOrFail) -> bool:
     if x is FAIL:
         return False
     return is_sublist(x.txs, y.txs)
-
-
-def sublists(txs: TxList) -> Iterator[TxList]:
-    """All 2^n sublists in a deterministic order."""
-    n = len(txs)
-    for mask in range(1 << n):
-        yield tuple(txs[i] for i in range(n) if mask >> i & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,13 @@ def mk_tx(ins, outs):
     return Transaction(inputs, outputs)
 
 
+def sublists(txs):
+    """All 2^n sublists of ``txs`` in a deterministic order."""
+    n = len(txs)
+    for mask in range(1 << n):
+        yield tuple(txs[i] for i in range(n) if mask >> i & 1)
+
+
 @pytest.fixture
 def pair_txs():
     """The two-transaction example: tx feeds ty over channels d and e."""

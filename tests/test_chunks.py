@@ -9,6 +9,7 @@ from chunkalg.generators import GenConfig, gen_model, gen_perm, gen_txlist, gen_
 from chunkalg.ieutxo import (
     BACKWARD_OR_SELF_POINTER,
     Chunk,
+    ChunkReport,
     DUPLICATE_INPUT_POSITION,
     DUPLICATE_OUTPUT_POSITION,
     EMPTY_TRANSACTION,
@@ -26,11 +27,10 @@ from chunkalg.ieutxo import (
     output_channels,
     pairwise_chunk_oracle,
     pos,
-    sublists,
 )
 from chunkalg.scripts import And, InputPositionIn, KeyEquals
 
-from conftest import mk_tx
+from conftest import mk_tx, sublists
 
 
 def test_pair_is_a_chunk(pair_txs):
@@ -63,6 +63,16 @@ def test_self_overlap_is_backward():
 def test_empty_transaction_rejected():
     rep = check_chunk((Transaction((), ()),))
     assert rep.violation.kind == EMPTY_TRANSACTION
+
+
+def test_report_ok_is_the_absence_of_a_violation():
+    """``ok`` is read off ``violation``, so the two cannot disagree."""
+    refused = check_chunk((Transaction((), ()),))
+    assert not refused.ok and refused.to_obj()["ok"] is False
+    assert not ChunkReport(refused.violation).ok
+    assert ChunkReport().to_obj() == {"ok": True, "violation": None}
+    with pytest.raises(TypeError):
+        ChunkReport(True, None)
 
 
 def test_duplicate_kinds():

@@ -16,10 +16,9 @@ from chunkalg.ieutxo import (
     compose,
     is_blockchain,
     pos,
-    sublists,
 )
 
-from conftest import mk_tx
+from conftest import mk_tx, sublists
 
 CFG = GenConfig(seed=2024)
 

@@ -1,0 +1,109 @@
+"""Source hygiene of the package: no stale import and no dead helper.
+
+Each module of ``src/chunkalg`` is parsed with ``ast``.  An import that its
+module never uses fails (``__init__.py`` re-exports on purpose), and so does
+a module-level function or class that nothing in ``src/``, ``tests/`` or
+``perfbench/`` names outside its own definition.  A name counts as used when
+it is read as a name or an attribute, imported, or spelled inside a string
+that is not a docstring (quoted annotations, ``__all__``, dotted targets
+such as ``"FiniteSetsAcs.mcompose"``).
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "chunkalg").glob("*.py"))
+SEARCHED = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted(
+    (ROOT / "perfbench").glob("*.py")
+)
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _docstrings(tree: ast.AST) -> set:
+    """The ids of the docstring nodes in ``tree``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            body = node.body
+            if (
+                body
+                and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)
+            ):
+                out.add(id(body[0].value))
+    return out
+
+
+def _strings(tree: ast.AST) -> list:
+    """Every identifier spelled in a string of ``tree`` that is no docstring."""
+    docs = _docstrings(tree)
+    return [
+        word
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and id(node) not in docs
+        for word in IDENTIFIER.findall(node.value)
+    ]
+
+
+def _mentions(tree: ast.AST) -> Counter:
+    """How often ``tree`` names each identifier."""
+    out = Counter(_strings(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
+    return out
+
+
+def _imported(tree: ast.Module) -> list:
+    """(bound name, line) for each import of the module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                out.append((a.asname or a.name.split(".")[0], node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                out.append((a.asname or a.name, node.lineno))
+    return out
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_import_is_used(path):
+    tree = _parse(path)
+    read = set(_strings(tree))
+    read.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+    unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in read]
+    assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+def test_every_module_level_definition_is_named_elsewhere():
+    mentions = {path: _mentions(_parse(path)) for path in SEARCHED}
+    everywhere = sum(mentions.values(), Counter())
+    dead = []
+    for path in MODULES:
+        for node in _parse(path).body:
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and everywhere[node.name] == _mentions(node)[node.name]:
+                dead.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not dead, "named nowhere outside their own definition: " + ", ".join(dead)
