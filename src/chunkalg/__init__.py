@@ -27,6 +27,7 @@ from .ieutxo import (
     Transaction,
     check_chunk,
     check_church_rosser,
+    composable,
     compose,
     enumerate_chunks,
     is_blockchain,
@@ -71,6 +72,7 @@ __all__ = [
     "Transaction",
     "check_chunk",
     "check_church_rosser",
+    "composable",
     "compose",
     "enumerate_chunks",
     "is_blockchain",

@@ -29,14 +29,13 @@ from .axioms import (
 from .functors import check_adjunction
 from .generators import GenConfig, gen_cr_triple, gen_model, stream
 from .ieutxo import (
-    FAIL,
     Chunk,
     ChunkReport,
     NotAChunk,
     blocked_utxi,
     blocked_utxo,
     check_church_rosser,
-    compose,
+    composable,
     ledger_sets,
     pos,
 )
@@ -167,23 +166,22 @@ def cmd_commute(args: argparse.Namespace) -> int:
                 [f"{label} file is not a chunk: {rep.violation}"],
             )
             return EXIT_VIOLATIONS
-    ab, ba = compose(a, b), compose(b, a)
+    ab, ba = composable(a, b), composable(b, a)
     disjoint = not (pos(a) & pos(b))
-    both = ab is not FAIL and ba is not FAIL
-    commute = (ab is FAIL) == (ba is FAIL)
+    commute = ab == ba
     consistent = True
-    if ab is not FAIL or ba is not FAIL:
+    if ab or ba:
         # with one order defined the three freshness conditions must agree
-        consistent = disjoint == both == commute
+        consistent = disjoint == (ab and ba) == commute
     payload = {
-        "ab_valid": ab is not FAIL,
-        "ba_valid": ba is not FAIL,
+        "ab_valid": ab,
+        "ba_valid": ba,
         "commuting": commute,
         "positions_disjoint": disjoint,
         "freshness_equivalence_consistent": consistent,
     }
     human = [
-        f"a·b valid: {ab is not FAIL};  b·a valid: {ba is not FAIL}",
+        f"a·b valid: {ab};  b·a valid: {ba}",
         f"commuting: {commute};  disjoint positions: {disjoint}",
         f"freshness equivalence consistent: {consistent}",
     ]

@@ -15,10 +15,12 @@ Chunk validity is local: a list is a chunk iff every sublist of length at
 most two is (see :func:`pairwise_chunk_oracle`, the independent oracle used
 throughout the test suite).  So whether two chunks compose, and the ledger
 of the result, depend only on a position index of each (its unspent
-outputs, unspent inputs and spent channels): one join of two indices checks
-the seam and merges them, the way a ledger applies a block to its UTxO map.
-Composition, commuting, Church–Rosser and enumeration all compose through
-it, and build a chunk, by the one trusted constructor, only where they
+outputs, unspent inputs and spent channels).  A seam check on two indices
+decides whether they compose; a merge of the two, the way a ledger applies
+a block to its UTxO map, gives the result's index.  Verdicts (composable,
+commuting, the Church–Rosser conclusions) check the seam alone; only a
+returned chunk or a ledger that is read merges.  Composition and
+enumeration build a chunk, by the one trusted constructor, only where they
 return one; :class:`Chunk` built directly validates the whole list with
 :func:`check_chunk`, the from-scratch reference.  Totalizing the partial
 composition with the absorbing :data:`FAIL` element turns the chunk set into
@@ -535,8 +537,9 @@ def _index_of(chunk: Chunk) -> _Index:
     return chunk._index or (_build_index(chunk.txs) if chunk.txs else EMPTY_CHUNK._index)
 
 
-def _join(x: _Index, y: _Index) -> Optional[_Index]:
-    """The index of ``x·y``, or None if ``x·y`` is not a chunk.
+def _seam(x: _Index, y: _Index) -> Optional[set[Atom]]:
+    """The positions ``x·y`` spends across the seam, or None if ``x·y`` is
+    not a chunk; the set may be empty, so test it against None.
 
     Validity is local, so ``x·y`` is a chunk exactly when ``y``'s outputs
     avoid ``x``'s outputs, ``y``'s inputs avoid ``x``'s inputs, ``x``'s
@@ -544,18 +547,36 @@ def _join(x: _Index, y: _Index) -> Optional[_Index]:
     passes that output's validator.  A chunk's unspent outputs, unspent
     inputs and spent channels partition its positions, so on the indices:
     the only positions the two share are ``y``'s unspent inputs on ``x``'s
-    unspent outputs, and those validate; the merged index spends those.
+    unspent outputs, and those validate.  Each disjointness test has a key
+    view or two sets as its receiver, so it iterates the smaller operand.
     """
-    xo, yi = x.outs.keys(), y.ins.keys()
-    for a in (xo, x.ins.keys(), x.stx):
-        for b in (y.outs.keys(), yi, y.stx):
-            if not (a is xo and b is yi) and not a.isdisjoint(b):
-                return None
+    xo, xi, xs = x.outs.keys(), x.ins.keys(), x.stx
+    yo, yi, ys = y.outs.keys(), y.ins.keys(), y.stx
+    if not (
+        xo.isdisjoint(yo) and xo.isdisjoint(ys)
+        and xi.isdisjoint(yo) and xi.isdisjoint(yi) and xi.isdisjoint(ys)
+        and yo.isdisjoint(xs) and yi.isdisjoint(xs) and xs.isdisjoint(ys)
+    ):
+        return None
     spends = xo & yi
     for p in spends:
         tx, i = y.ins[p]
         if not validates(x.outs[p], PointedTransaction(tx, i)):
             return None
+    return spends
+
+
+def _join(x: _Index, y: _Index) -> Optional[_Index]:
+    """The index of ``x·y``, or None if ``x·y`` is not a chunk: the seam
+    check (:func:`_seam`), then a merge that spends the seam's positions.
+
+    Only a caller that returns the chunk or reads its ledger needs the
+    merge; a verdict that asks whether ``x·y`` is a chunk calls
+    :func:`_seam` alone.
+    """
+    spends = _seam(x, y)
+    if spends is None:
+        return None
     outs = dict(x.outs)
     ins = {**x.ins, **y.ins}
     for p in spends:
@@ -576,6 +597,12 @@ def compose(x: ChunkOrFail, y: ChunkOrFail) -> ChunkOrFail:
         return FAIL
     index = _join(_index_of(x), _index_of(y))
     return FAIL if index is None else Chunk._trusted(x.txs + y.txs, index)
+
+
+def composable(x: ChunkOrFail, y: ChunkOrFail) -> bool:
+    """Is ``x·y`` a chunk?  The answer ``compose(x, y) is not FAIL`` gives,
+    from the seam check alone (:func:`_seam`), without building the product."""
+    return x is not FAIL and y is not FAIL and _seam(_index_of(x), _index_of(y)) is not None
 
 
 def compose_all(parts: Iterable[ChunkOrFail]) -> ChunkOrFail:
@@ -642,7 +669,7 @@ def is_blockchain(value: Union[Chunk, Sequence[Transaction]]) -> bool:
 def commuting(x: Chunk, y: Chunk) -> bool:
     """Both composition orders form chunks, or neither does."""
     ix, iy = _index_of(x), _index_of(y)
-    return (_join(ix, iy) is None) == (_join(iy, ix) is None)
+    return (_seam(ix, iy) is None) == (_seam(iy, ix) is None)
 
 
 # ---------------------------------------------------------------------------
@@ -910,7 +937,8 @@ def check_church_rosser(y: Chunk, x: Chunk, x2: Chunk) -> ChurchRosserReport:
     the unspent inputs unchanged (``utxi(y·x2) == utxi(y·x·x2)``).  Under
     them, ``x`` and ``x2`` must commute and ``y·x2·x`` must be a chunk; a
     premise-satisfying triple violating either conclusion indicates an
-    implementation bug.
+    implementation bug.  The premises read the ledgers of ``y·x·x2`` and
+    ``y·x2``, so those are merged; the conclusions only check seams.
     """
     iy, ix, ix2 = _index_of(y), _index_of(x), _index_of(x2)
     yx = _join(iy, ix)
@@ -924,9 +952,9 @@ def check_church_rosser(y: Chunk, x: Chunk, x2: Chunk) -> ChurchRosserReport:
             CR_PREMISES_FAILED, "utxi(y·x2) differs from utxi(y·x·x2)"
         )
     problems = []
-    if (_join(ix, ix2) is None) != (_join(ix2, ix) is None):
+    if (_seam(ix, ix2) is None) != (_seam(ix2, ix) is None):
         problems.append("x and x2 do not commute")
-    if _join(yx2, ix) is None:
+    if _seam(yx2, ix) is None:
         problems.append("y·x2·x is not a chunk")
     if problems:
         return ChurchRosserReport(CR_COUNTEREXAMPLE, "; ".join(problems))
@@ -973,7 +1001,7 @@ def arrow_violation(
         for t in txs:
             if s == t:
                 continue
-            if is_chunk((s, t)) and compose(f(s), f(t)) is FAIL:
+            if is_chunk((s, t)) and not composable(f(s), f(t)):
                 return (s, t)
     return None
 

@@ -1,7 +1,8 @@
 """Seam composition against the from-scratch references.
 
-``compose``, ``check_church_rosser`` and ``enumerate_chunks`` join position
-indices, checking only the seam between two chunks, and the blocked-channel
+``compose``, ``composable``, ``check_church_rosser`` and ``enumerate_chunks``
+check only the seam between two chunks' position indices, and merge the
+indices only where a chunk is returned or a ledger read; the blocked-channel
 analysis asks one validator per renamed probe.  They are compared here with
 ``check_chunk`` and ``pairwise_chunk_oracle`` on the concatenation, with each
 seam violation kind forced, with a depth-first walk over every list of
@@ -41,6 +42,7 @@ from chunkalg.ieutxo import (
     blocked_utxo,
     check_chunk,
     check_church_rosser,
+    composable,
     compose,
     compose_all,
     enumerate_chunks,
@@ -113,7 +115,7 @@ def _assert_agrees(x, y):
     got = compose(x, y)
     cat = x.txs + y.txs
     ok = check_chunk(cat).ok
-    assert (got is not FAIL) == ok == pairwise_chunk_oracle(cat)
+    assert composable(x, y) == (got is not FAIL) == ok == pairwise_chunk_oracle(cat)
     if ok:
         assert got.txs == cat
         assert ledger_sets(got) == _ledger_reference(cat)
@@ -179,10 +181,8 @@ def test_forced_seam_violations(kind, chunks):
             if pair is None:
                 continue
             a, b = pair
-            cat = a.txs + b.txs
-            assert compose(a, b) is FAIL
-            assert check_chunk(cat).violation.kind == kind
-            assert not pairwise_chunk_oracle(cat)
+            assert _assert_agrees(a, b) is FAIL
+            assert check_chunk(a.txs + b.txs).violation.kind == kind
 
 
 def test_forced_violations_on_spent_channels():
@@ -196,12 +196,17 @@ def test_forced_violations_on_spent_channels():
         (a_then_spend, Transaction([Input("a", "j")], [Output("c", 0, AcceptAll())]), DUPLICATE_INPUT_POSITION),
         (Chunk((Transaction([Input("a", "k")], [Output("c", 0, AcceptAll())]),)),
          a_then_spend, BACKWARD_OR_SELF_POINTER),
+        # spent on both sides: only the spent channels meet
+        (a_then_spend, Chunk((
+            Transaction((), [Output("a", 1, AcceptAll())]),
+            Transaction([Input("a", "j")], [Output("c", 0, AcceptAll())]),
+        )), DUPLICATE_OUTPUT_POSITION),
     ]
     for x, y, kind in cases:
         y = y if isinstance(y, Chunk) else Chunk((y,))
         for left in (x, _indexed(x)):
             for right in (y, _indexed(y)):
-                assert compose(left, right) is FAIL
+                assert _assert_agrees(left, right) is FAIL
                 assert check_chunk(left.txs + right.txs).violation.kind == kind
 
 
@@ -266,16 +271,24 @@ def test_probe_loop_and_enumeration_match_references(seed, n_txs):
 def test_empty_chunk_is_the_unit_for_indexed_chunks(pair_txs):
     ch = _indexed(Chunk(pair_txs))
     assert compose(ch, EMPTY_CHUNK) == ch == compose(EMPTY_CHUNK, ch)
+    assert composable(ch, EMPTY_CHUNK) and composable(EMPTY_CHUNK, ch)
+    assert not composable(ch, FAIL) and not composable(FAIL, ch)
     assert ledger_sets(compose(ch, EMPTY_CHUNK)) == ledger_sets(Chunk(pair_txs))
+
+
+def _count_calls(monkeypatch, name):
+    """The arguments of every call to ``ieutxo.<name>`` from here on."""
+    calls = []
+    real = getattr(ieutxo, name)
+    monkeypatch.setattr(ieutxo, name, lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
 def test_the_unit_carries_its_index(pair_txs, monkeypatch):
     """Composing with the unit, or any empty chunk, builds no index for it:
     none at all next to a composition, and only the other operand's next to
     a directly built chunk."""
-    calls = []
-    real = ieutxo._build_index
-    monkeypatch.setattr(ieutxo, "_build_index", lambda txs: calls.append(txs) or real(txs))
+    calls = _count_calls(monkeypatch, "_build_index")
     indexed, plain = _indexed(Chunk(pair_txs)), Chunk(pair_txs)
     calls.clear()
     for unit in (EMPTY_CHUNK, Chunk(())):
@@ -283,24 +296,27 @@ def test_the_unit_carries_its_index(pair_txs, monkeypatch):
             assert compose(unit, x) == x == compose(x, unit)
     assert calls == []
     assert compose(EMPTY_CHUNK, plain) == plain == compose(plain, Chunk(()))
-    assert calls == [pair_txs, pair_txs]
+    assert calls == [(pair_txs,), (pair_txs,)]
 
 
 def test_enumeration_and_church_rosser_index_each_operand_once(backbone_model, monkeypatch):
     """Enumeration builds one index per model transaction and joins indices
-    from there; a Church–Rosser check indexes each operand once and runs
-    all its compositions on indices."""
-    calls = []
-    real = ieutxo._build_index
-    monkeypatch.setattr(ieutxo, "_build_index", lambda txs: calls.append(txs) or real(txs))
+    from there; a Church–Rosser check indexes each operand once, runs all
+    its compositions on indices, and merges only the three whose ledgers it
+    reads or extends (y·x, y·x·x2 and y·x2): its other three compositions
+    only check their seams."""
+    calls = _count_calls(monkeypatch, "_build_index")
     chunks = list(enumerate_chunks(backbone_model))
     assert len(chunks) > len(backbone_model.transactions)
-    assert calls == [(tx,) for tx in backbone_model.transactions]
+    assert calls == [((tx,),) for tx in backbone_model.transactions]
     tx1, tx2, tx3, _ = backbone_model.transactions
     calls.clear()
     y, x, x2 = Chunk((tx1,)), Chunk((tx2,)), Chunk((tx3,))
+    # A merge's own seam check goes through ieutxo._seam too.
+    joins, seams = _count_calls(monkeypatch, "_join"), _count_calls(monkeypatch, "_seam")
     assert check_church_rosser(y, x, x2).status == CR_VERIFIED
-    assert calls == [y.txs, x.txs, x2.txs]
+    assert calls == [(y.txs,), (x.txs,), (x2.txs,)]
+    assert (len(joins), len(seams)) == (3, 6)
 
 
 # Atom pool of the probe differential: "z1"/"z2" are the first names
