@@ -35,10 +35,13 @@ renamed so that one slot lands on the queried position and every other
 position is fresh.  Freshness shrinks the seam to that one position, so
 each probe comes down to one validator call; the fresh atoms are minted
 once per call, since they need only avoid the chunk's positions and the
-candidate's own.  Renaming is equivariant, and a permutation that fixes a
-value's support (the atoms its renaming reads, :func:`~chunkalg.atoms.support`)
+candidate's own.  A probe builds its point, and builds the spender's
+transaction only when a validator reads it (only ``SpendsAtMostNInputs``
+does).  Renaming is equivariant, and a permutation that fixes a value's
+support (the atoms its renaming reads, :func:`~chunkalg.atoms.support`)
 leaves the value unchanged.  So a candidate whose keys, datums and
-validators mention no atom is probed by moving its positions alone; only a
+validators mention no atom is probed by moving its positions alone (an
+output slot not even that: no validator sees its output's position); only a
 candidate with support is renamed by a permutation.  Which candidates are
 chunks on their own, and which are support-free, is found once, when the
 model is built, and the same facts validate the model's enumeration.
@@ -47,7 +50,7 @@ model is built, and the same facts validate the model's enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -55,7 +58,6 @@ from .atoms import (
     Atom,
     Atomless,
     Permutation,
-    act,
     act_opaque,
     fresh_atoms,
     mentions_atoms,
@@ -206,6 +208,22 @@ class PointedTransaction:
 
     def rename(self, perm: Permutation) -> "PointedTransaction":
         return PointedTransaction(self.transaction.rename(perm), self.point.rename(perm))
+
+
+class _SpendingContext:
+    """A pointed transaction whose transaction is built on first read.
+
+    Every node kind but ``SpendsAtMostNInputs`` reads only the point, so a
+    probe's spender is built only for a validator that reads it; it is then
+    checked by :class:`PointedTransaction`, and kept.
+    """
+
+    def __init__(self, point: Input, build: Callable[[], Transaction]):
+        self.point, self._build = point, build
+
+    @cached_property
+    def transaction(self) -> Transaction:
+        return PointedTransaction(self._build(), self.point).transaction
 
 
 TxList = tuple[Transaction, ...]
@@ -804,37 +822,39 @@ def _probe_plan(
     return plan
 
 
-def _relocated(moves: dict, value: Union[Input, Output, Transaction]):
-    """``value`` with each position ``p`` moved to ``moves[p]`` and nothing
+def _relocated(moves: dict, tx: Transaction) -> Transaction:
+    """``tx`` with each position ``p`` moved to ``moves[p]`` and nothing
     else changed: what every permutation extending ``moves`` makes of a
-    value whose keys, datums and validators mention no atom."""
-    if isinstance(value, Transaction):
-        return Transaction(
-            [Input(moves[i.position], i.key) for i in value.inputs],
-            [Output(moves[o.position], o.datum, o.validator) for o in value.outputs],
-        )
-    if isinstance(value, Input):
-        return Input(moves[value.position], value.key)
-    return Output(moves[value.position], value.datum, value.validator)
+    transaction whose keys, datums and validators mention no atom."""
+    return Transaction(
+        [Input(moves[i.position], i.key) for i in tx.inputs],
+        [Output(moves[o.position], o.datum, o.validator) for o in tx.outputs],
+    )
 
 
 def _renamed_probes(
     plan: _ProbePlan, a: Atom
-) -> Iterator[tuple[Transaction, Union[Input, Output], Callable]]:
-    """Each planned (candidate, slot) with the renaming that lands the slot
-    on ``a`` and the other positions on their fresh atoms.
+) -> Iterator[tuple[Union[Input, Output], Callable[[], Transaction]]]:
+    """Each planned probe at ``a``: its slot as a validator reads it, and a
+    builder of the candidate renamed so that the slot lands on ``a`` and
+    the other positions on their fresh atoms.
 
-    For a candidate with support the renaming is the exact permutation
-    completing that map, so scripts, keys or datums that name a fresh atom
-    or ``a`` are renamed consistently with the positions; a support-free
-    candidate only has its positions moved (:func:`_relocated`).
+    A support-free candidate only has its positions moved (:func:`_relocated`),
+    and a validator reads a point whole but an output only through its
+    datum and validator: so its point is built at ``a``, and an output slot
+    is read as it is.  A candidate with support, slot and builder alike, is
+    renamed by the exact permutation completing that map, so scripts, keys
+    or datums that name a fresh atom or ``a`` are renamed consistently with
+    the positions.
     """
     for cand, slot, others, support_free in plan:
         moves = {**others, slot.position: a}
         if support_free:
-            yield cand, slot, partial(_relocated, moves)
+            read = Input(a, slot.key) if isinstance(slot, Input) else slot
+            yield read, partial(_relocated, moves, cand)
         else:
-            yield cand, slot, partial(act, Permutation.extending(moves))
+            perm = Permutation.extending(moves)
+            yield slot.rename(perm), partial(cand.rename, perm)
 
 
 def _blocked(ch: Chunk, model: IeutxoModel, inputs: bool) -> frozenset[Atom]:
@@ -846,15 +866,16 @@ def _blocked(ch: Chunk, model: IeutxoModel, inputs: bool) -> frozenset[Atom]:
     are fresh, outside ``ch``'s positions, so the probe meets ``ch`` at
     ``a`` alone, and by locality the concatenation is a chunk exactly when
     the output at ``a`` accepts the input at ``a``: one validator call, with
-    no index or seam check.  The whole renamed probe is built only where it
-    is read: as the spender's context at an unspent output.
+    no index or seam check.  A probe builds its point, and builds the
+    spender's transaction only when a validator reads it (only
+    ``SpendsAtMostNInputs`` does; see :class:`_SpendingContext`).
 
     A permutation that fixes a value's support leaves the value unchanged,
     so a support-free candidate (see :func:`_probe_facts`) keeps its keys,
     datums and validators under every probe: its probe is the candidate
-    with its positions moved, and no permutation is built or validator
-    renamed.  A candidate with support is renamed by the exact permutation
-    (see :func:`_renamed_probes`).
+    with its positions moved, its output slot is read as it is, and no
+    permutation is built or validator renamed.  A candidate with support is
+    renamed by the exact permutation (see :func:`_renamed_probes`).
     """
     ix = _index_of(ch)
     slots = (lambda c: c.outputs) if inputs else (lambda c: c.inputs)
@@ -863,14 +884,11 @@ def _blocked(ch: Chunk, model: IeutxoModel, inputs: bool) -> frozenset[Atom]:
     def connects(a: Atom) -> bool:
         if inputs:
             spender = PointedTransaction(*ix.ins[a])
-            return any(
-                validates(rename(slot), spender)
-                for _, slot, rename in _renamed_probes(plan, a)
-            )
+            return any(validates(slot, spender) for slot, _ in _renamed_probes(plan, a))
         out = ix.outs[a]
         return any(
-            validates(out, PointedTransaction(rename(cand), rename(slot)))
-            for cand, slot, rename in _renamed_probes(plan, a)
+            validates(out, _SpendingContext(point, build))
+            for point, build in _renamed_probes(plan, a)
         )
 
     return frozenset(a for a in (ix.ins if inputs else ix.outs) if not connects(a))
@@ -883,8 +901,8 @@ def blocked_utxi(ch: Chunk, model: IeutxoModel) -> frozenset[Atom]:
     model's probe universe closed under renaming of non-queried positions.
     Single-transaction probes suffice because validity is local, and a
     probe whose other positions are fresh meets the chunk at the queried
-    input alone, so each probe costs one validator call (see
-    :func:`_blocked`).
+    input alone, so each probe costs one validator call, and builds no
+    transaction: the spender is the chunk's own (see :func:`_blocked`).
     """
     return _blocked(ch, model, inputs=True)
 
@@ -907,9 +925,9 @@ def renamed_probe_chunks(
     avoid = frozenset(atoms)
     plan = _probe_plan(model, avoid, lambda c: c.inputs + c.outputs)
     return [
-        Chunk._trusted((rename(cand),))
+        Chunk._trusted((build(),))
         for a in sorted(avoid)
-        for cand, _, rename in _renamed_probes(plan, a)
+        for _, build in _renamed_probes(plan, a)
     ]
 
 

@@ -3,12 +3,13 @@
 ``compose``, ``composable``, ``check_church_rosser`` and ``enumerate_chunks``
 check only the seam between two chunks' position indices, and merge the
 indices only where a chunk is returned or a ledger read; the blocked-channel
-analysis asks one validator per renamed probe.  They are compared here with
+analysis asks one validator per renamed probe, and builds a probe's
+transaction only when that validator reads it.  They are compared here with
 ``check_chunk`` and ``pairwise_chunk_oracle`` on the concatenation, with each
 seam violation kind forced, with a depth-first walk over every list of
 distinct model transactions, and with the probe path that renamed every
 probe with a frozen copy of the old ``_retarget`` and checked the whole
-concatenation.
+concatenation.  Counts pin what a probe builds.
 """
 
 import json
@@ -37,6 +38,7 @@ from chunkalg.ieutxo import (
     IeutxoModel,
     Input,
     Output,
+    PointedTransaction,
     Transaction,
     blocked_utxi,
     blocked_utxo,
@@ -225,10 +227,11 @@ def _retarget(
     return cand.rename(Permutation.extending(mapping))
 
 
-def _singleton_compose_blocked(ch, model, inputs):
+def _singleton_compose_blocked(ch, model, inputs, is_chunk=lambda txs: check_chunk(txs).ok):
     """Blocked channels the way they were found before the seam check:
     every renamed probe made a singleton chunk and composed with ``ch`` by
-    checking the whole concatenation."""
+    checking the whole concatenation (with ``check_chunk``, or the given
+    reference)."""
     u_in, u_out, _ = _ledger_reference(ch.txs)
     avoid = pos(ch.txs)
     blocked = set()
@@ -240,7 +243,7 @@ def _singleton_compose_blocked(ch, model, inputs):
                 if input_channels(probe) & output_channels(probe):
                     continue
                 cat = (probe,) + ch.txs if inputs else ch.txs + (probe,)
-                connects = connects or check_chunk(cat).ok
+                connects = connects or is_chunk(cat)
         if not connects:
             blocked.add(a)
     return frozenset(blocked)
@@ -407,13 +410,21 @@ def _named_position_txs(draw, ch):
 @st.composite
 def probe_cases(draw):
     """(probed chunk, model): a chunk grown from pool transactions that keep
-    it a chunk, and a probe universe with at least one support-free
+    it a chunk, then an unspent output outside the pool that limits its
+    spender's inputs, and a probe universe with at least one support-free
     candidate and one naming positions in a validator, among pool
     transactions, some of which are not chunks on their own."""
     ch = EMPTY_CHUNK
     for tx in draw(st.lists(_pool_txs(True), min_size=1, max_size=4)):
         grown = compose(ch, Chunk((tx,)))
         ch = ch if grown is FAIL else grown
+    # An unspent output whose validator reads the spender's transaction, with
+    # a limit on either side of the candidates' input counts (0 to 3); behind
+    # a point-local Or, the transaction is read only when the key misses.
+    limit = SpendsAtMostNInputs(draw(st.integers(0, 3)))
+    reads = draw(st.sampled_from([limit, Or(KeyEquals("k0"), limit)]))
+    at = draw(st.sampled_from(("d", "z3")))
+    ch = compose(ch, Chunk((Transaction((), [Output(at, 0, reads)]),)))
     cands = [draw(_free_txs()), draw(_named_position_txs(ch))]
     cands += draw(st.lists(st.one_of(_free_txs(), _pool_txs(True), _pool_txs(False)), max_size=2))
     cands = draw(st.permutations(cands))
@@ -440,12 +451,16 @@ def test_probe_plan_matches_singleton_reference(case):
     support-free candidates, probed without a permutation, and candidates
     with support, whose validators, keys and datums name atoms (fresh ones
     and queried ones too); validators that read the whole spending
-    transaction, queried atoms among the candidates' positions, and
-    non-chunk candidates."""
+    transaction, whether the spender is built or not, queried atoms among
+    the candidates' positions, and non-chunk candidates.  The reference
+    checks each concatenation with ``check_chunk`` and with
+    ``pairwise_chunk_oracle``."""
     ch, model = case
-    for probed in (ch, _indexed(ch)):
-        assert blocked_utxi(probed, model) == _singleton_compose_blocked(ch, model, True)
-        assert blocked_utxo(probed, model) == _singleton_compose_blocked(ch, model, False)
+    for inputs, blocked in ((True, blocked_utxi), (False, blocked_utxo)):
+        want = _singleton_compose_blocked(ch, model, inputs)
+        assert want == _singleton_compose_blocked(ch, model, inputs, pairwise_chunk_oracle)
+        for probed in (ch, _indexed(ch)):
+            assert blocked(probed, model) == want
     for atoms in (pos(ch), PROBE_POOL[:2]):
         got = [c.txs for c in renamed_probe_chunks(atoms, model)]
         assert got == _renamed_probe_chunks_reference(atoms, model)
@@ -467,6 +482,81 @@ def test_probes_check_no_chunk_after_the_model_is_built(case):
     finally:
         ieutxo.check_chunk = real
     assert calls == []
+
+
+# The probe universe of perfbench's ledger-ingest workload: support-free
+# candidates, whose input keys are the only keys it offers.
+LEDGER_PROBES = IeutxoModel("ledger-probes", (
+    Transaction([Input("u1", "k0")], [Output("u2", 0, KeyEquals("k0"))]),
+    Transaction([Input("u3", "k1")], [Output("u4", 1, KeyEquals("k1")), Output("u5", 2, RejectAll())]),
+))
+
+
+def test_point_local_probes_build_no_transaction(monkeypatch):
+    """A ledger-ingest-style block, every validator point-local: no probe
+    builds a transaction, and each probe of an unspent input hands the
+    spender's validator the candidate's own output, not a relocated one."""
+    block = Chunk((
+        Transaction([Input("c1", "k0"), Input("c2", "k5")],
+                    [Output("p1", 0, KeyEquals("k0")), Output("p2", 1, KeyEquals("k7"))]),
+        Transaction([Input("p1", "k0")], [Output("p3", 2, AcceptAll()), Output("p4", 3, DatumEquals(3))]),
+        Transaction([Input("c3", "k1")], [
+            Output("p5", 4, InputPositionIn(frozenset({"p5", "q3"}))),
+            Output("p6", 5, Or(RejectAll(), Not(RejectAll()))),
+        ]),
+        Transaction([Input("p2", "k7")], [
+            Output("p7", 6, And(KeyEquals("k1"), Not(RejectAll()))),
+            Output("p8", 7, RejectAll()),
+        ]),
+    ))
+    assert _singleton_compose_blocked(block, LEDGER_PROBES, True) == {"c2"}
+    assert _singleton_compose_blocked(block, LEDGER_PROBES, False) == {"p8"}
+    built = _count_calls(monkeypatch, "_relocated")
+    checked = _count_calls(monkeypatch, "validates")
+    assert blocked_utxi(block, LEDGER_PROBES) == {"c2"}
+    cand_outputs = [o for tx in LEDGER_PROBES.probe_candidates for o in tx.outputs]
+    assert checked and all(any(out is o for o in cand_outputs) for out, _ in checked)
+    checked.clear()
+    assert blocked_utxo(block, LEDGER_PROBES) == {"p8"}
+    assert len(checked) == 8  # p3 to p6 take the first probe, p7 the second, p8 neither
+    assert built == []
+
+
+def test_spends_at_most_n_inputs_builds_one_transaction_per_probe(monkeypatch):
+    """An unspent output that limits its spender's inputs builds one
+    transaction for each probe it evaluates, holding the probe's point; a
+    point-local one beside it builds none."""
+    block = Chunk((Transaction([Input("c", "k0")], [
+        Output("s0", 0, SpendsAtMostNInputs(0)),
+        Output("s1", 0, SpendsAtMostNInputs(1)),
+        Output("t", 0, AcceptAll()),
+    ]),))
+    built = []
+    real = ieutxo._relocated
+    monkeypatch.setattr(ieutxo, "_relocated", lambda *args: built.append(real(*args)) or built[-1])
+    checked = _count_calls(monkeypatch, "validates")
+    # both candidates spend one input: s0 refuses both, s1 takes the first
+    assert blocked_utxo(block, LEDGER_PROBES) == {"s0"}
+    reading = [ctx for out, ctx in checked if isinstance(out.validator, SpendsAtMostNInputs)]
+    assert len(reading) == len(built) == 3 and len(checked) == 4
+    for ctx, tx in zip(reading, built):
+        assert ctx.transaction is tx and ctx.point in tx.inputs
+    assert len(built) == 3
+
+
+def test_spending_context_checks_its_point():
+    """The spender's transaction is built on first read, once, and must hold
+    the point, as a PointedTransaction's must."""
+    tx = Transaction([Input("b", "k")], [Output("c", 0, AcceptAll())])
+    builds = []
+    ctx = ieutxo._SpendingContext(Input("b", "k"), lambda: builds.append(tx) or tx)
+    assert builds == []
+    assert ctx.transaction is tx and ctx.transaction is tx and builds == [tx]
+    with pytest.raises(ValueError) as want:
+        PointedTransaction(tx, Input("a", "k"))
+    with pytest.raises(ValueError) as got:
+        ieutxo._SpendingContext(Input("a", "k"), lambda: tx).transaction
+    assert str(got.value) == str(want.value)
 
 
 def test_cli_default_universe_matches_reference(tmp_path):
