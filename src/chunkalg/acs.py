@@ -19,7 +19,10 @@ Three instances ship:
 * :class:`SubstAcs` — finite substitutions from atoms to first-order terms,
   composed by domain-disjoint union and failing on domain overlap.
 * :class:`ChunkAcs` — the chunks of a transaction model with the FAIL top:
-  the motivating instance, and the only perfectly atomic one here.
+  the motivating instance, and the only perfectly atomic one here.  Once
+  its carrier is enumerated, two carrier chunks compose by a pair table
+  read off the carrier, which returns the carrier's own chunk; every other
+  composition goes through :func:`~chunkalg.ieutxo.compose`.
 """
 
 from __future__ import annotations
@@ -402,6 +405,16 @@ class ChunkAcs(AcsInstance):
     blocked-channel analysis (an unspent input or output that no probe can
     connect to points up, alongside the spent channels).  The instance
     keeps each chunk's split and, once enumerated, its carrier.
+
+    With the carrier the instance keeps a pair table read off the carrier's
+    two-transaction chunks: each carrier chunk's mask of transactions and
+    the mask of transactions allowed after each of them.  Validity is
+    local, so two carrier chunks compose exactly when the second's mask
+    lies in the first's allowed mask, and their product is the carrier's
+    own chunk, which already carries its index and label.  Any other
+    operand (a renamed chunk, or any composition made before the carrier is
+    enumerated) goes through :func:`~chunkalg.ieutxo.compose`.  The table
+    lives and dies with the carrier, so it never outlives the instance.
     """
 
     perfectly_atomic = True
@@ -414,12 +427,24 @@ class ChunkAcs(AcsInstance):
         self._orientation: dict = {}
         self._hits = self._misses = 0
         self._carrier: Optional[list] = None
+        # Filled with the carrier: each carrier chunk's (mask, allowed
+        # after) pair, and the carrier chunk of each transaction list.
+        self._masks: dict = {}
+        self._chunk_of: dict = {}
 
     def leq(self, x, y) -> bool:
         return chunk_leq(x, y)
 
     def mcompose(self, x, y):
-        return compose(x, y)
+        if x is FAIL or y is FAIL:
+            return FAIL
+        masks = self._masks
+        mx, my = masks.get(x), masks.get(y)
+        if mx is None or my is None:
+            return compose(x, y)
+        if my[0] & ~mx[1]:  # some transaction of y may not follow x
+            return FAIL
+        return self._chunk_of[x.txs + y.txs]
 
     def is_atomic(self, x) -> bool:
         return isinstance(x, Chunk) and len(x) == 1
@@ -427,10 +452,12 @@ class ChunkAcs(AcsInstance):
     def factor(self, x) -> list:
         if x is FAIL:
             raise ValueError("the failure element has no factorisation")
-        return [Chunk((tx,)) for tx in x.txs]
+        # Every one-transaction sublist of a chunk is a chunk (locality).
+        return [Chunk._trusted((tx,)) for tx in x.txs]
 
     def atomic_elements(self) -> list:
-        return [Chunk((tx,)) for tx in self.model.transactions]
+        # The model refuses a transaction that is not a chunk on its own.
+        return [Chunk._trusted((tx,)) for tx in self.model.transactions]
 
     def posi(self, x) -> frozenset[Atom]:
         return frozenset() if x is FAIL else pos(x)
@@ -471,8 +498,29 @@ class ChunkAcs(AcsInstance):
         kept after the first call, since the model is immutable and one
         verdict reads the carrier several times."""
         if self._carrier is None:
-            self._carrier = sorted(enumerate_chunks(self.model), key=self.label) + [FAIL]
+            chunks = sorted(enumerate_chunks(self.model), key=self.label)
+            self._carrier = chunks + [FAIL]
+            self._read_pair_table(chunks)
         return list(self._carrier)
+
+    def _read_pair_table(self, chunks: list) -> None:
+        """Fill the pair table (see the class docstring) from the carrier's
+        own chunks, with no validity check: ``(t, u)`` is a carrier chunk
+        exactly when ``u`` may follow ``t``, and no transaction may follow
+        itself."""
+        bit = {tx: 1 << k for k, tx in enumerate(self.model.transactions)}
+        follows = dict.fromkeys(bit, 0)
+        for c in chunks:
+            if len(c) == 2:
+                t, u = c.txs
+                follows[t] |= bit[u]
+        for c in chunks:
+            mask, after = 0, ~0
+            for tx in c.txs:
+                mask |= bit[tx]
+                after &= follows[tx]
+            self._masks[c] = (mask, after)
+            self._chunk_of[c.txs] = c
 
     def sample_elements(self, n: int, seed: int) -> list:
         return _sample_from(self.enumerate_carrier(), n, seed, self.bot, self.top)

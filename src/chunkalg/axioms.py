@@ -15,10 +15,12 @@ is never checked.
 
 Within one call a checker reads each sample's data once (its orientation,
 its factors, its image under an arrow, its order against every other
-sample) and composes each drawn pair once in each order.  This assumes that
-``mcompose``, ``leq``, ``factor``, the orientation oracles and arrows are
-functions of their arguments, as every shipped instance's are.  Nothing is
-kept past the call.
+sample) and composes each drawn pair once in each order.  The monoid checker
+keeps each sample pair's product by index pair in a memo that lives for one
+call, so its pair, triple and locality loops compose a pair once between
+them.  This assumes that ``mcompose``, ``leq``, ``factor``, the orientation
+oracles and arrows are functions of their arguments, as every shipped
+instance's are.  Nothing is kept past the call.
 
 Well-foundedness of the order is checked as antisymmetry plus acyclicity of
 the strict order restricted to the sample; the property is not decidable
@@ -161,6 +163,7 @@ def monoid_axiom_check(
 
     n = len(samples)
     le = [[leq(x, y) for y in samples] for x in samples]
+    xy = _Products(samples, mc)
     for i, x in enumerate(samples):
         unit.check(mc(bot, x) == x and mc(x, bot) == x, x)
         absorb.check(inst.is_top(mc(top, x)) and inst.is_top(mc(x, top)), x)
@@ -170,35 +173,49 @@ def monoid_axiom_check(
     for i, j in _tuples(range(n), 2, seed + 1, pair_cap):
         x, y = samples[i], samples[j]
         order.check(not (le[i][j] and le[j][i]) or x == y, x, y)
-        z = mc(x, y)
+        z = xy[i, j]
         incr.check(leq(x, z) and leq(y, z), x, y)
 
     for i, j, k in _tuples(range(n), 3, seed + 2, triple_cap):
         x, y, z = samples[i], samples[j], samples[k]
-        assoc.check(mc(mc(x, y), z) == mc(x, mc(y, z)), x, y, z)
+        assoc.check(mc(xy[i, j], z) == mc(x, xy[j, k]), x, y, z)
         if le[i][j]:
             order.check(not le[j][k] or le[i][k], x, y, z)
-            mono.check(leq(mc(x, z), mc(y, z)) and leq(mc(z, x), mc(z, y)), x, y, z)
+            mono.check(leq(xy[i, k], xy[j, k]) and leq(xy[k, i], xy[k, j]), x, y, z)
 
     wf.check(_acyclic(samples, le))
 
     rng = random.Random(seed + 3)
     for _ in range(list_samples if n else 0):
         k = rng.randint(2, 5)
-        xs = [samples[rng.randrange(n)] for _ in range(k)]
-        prod = xs[0]
-        for item in xs[1:]:
-            prod = mc(prod, item)
+        ix = [rng.randrange(n) for _ in range(k)]
+        prod = xy[ix[0], ix[1]]
+        for i in ix[2:]:
+            prod = mc(prod, samples[i])
         if inst.is_top(prod):
             some_pair = any(
-                inst.is_top(mc(xs[i], xs[j]))
-                for i in range(k)
-                for j in range(i + 1, k)
+                inst.is_top(xy[ix[a], ix[b]])
+                for a in range(k)
+                for b in range(a + 1, k)
             )
-            local.check(some_pair, *xs)
+            local.check(some_pair, *(samples[i] for i in ix))
         else:
             local.check(True)
     return report
+
+
+class _Products(dict):
+    """``samples[i]·samples[j]`` by index pair ``(i, j)``, each composed on
+    first read and kept for the one checker call that builds it."""
+
+    def __init__(self, samples: Sequence, mc):
+        super().__init__()
+        self.samples, self.mc = samples, mc
+
+    def __missing__(self, key: tuple[int, int]) -> Any:
+        i, j = key
+        z = self[key] = self.mc(self.samples[i], self.samples[j])
+        return z
 
 
 def _acyclic(samples: Sequence, le: Sequence[Sequence[bool]]) -> bool:

@@ -443,8 +443,8 @@ class Chunk:
         """A chunk of ``txs`` already known valid, built without revalidation.
 
         The one constructor that skips :func:`check_chunk`; callers hand it
-        seam-checked compositions, renamed chunks and renamed singleton
-        probes.
+        seam-checked compositions, renamed chunks, renamed singleton probes,
+        factors of a chunk and a model's transactions as singletons.
         """
         chunk = object.__new__(cls)
         object.__setattr__(chunk, "txs", txs)

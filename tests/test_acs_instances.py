@@ -2,7 +2,7 @@
 
 import pytest
 
-from chunkalg import acs
+from chunkalg import acs, ieutxo
 from chunkalg.acs import (
     ChunkAcs,
     FiniteSetsAcs,
@@ -20,7 +20,7 @@ from chunkalg.acs import (
     perm_acs_arrow,
 )
 from chunkalg.atoms import swap, value_label
-from chunkalg.ieutxo import Chunk, EMPTY_CHUNK, FAIL, enumerate_chunks
+from chunkalg.ieutxo import Chunk, EMPTY_CHUNK, FAIL, check_chunk, enumerate_chunks
 
 A = frozenset("a")
 B = frozenset("b")
@@ -187,17 +187,25 @@ def test_commuting_elements_agree_on_definedness(backbone_model):
 
 def test_chunkacs_keeps_its_carrier(backbone_model, monkeypatch):
     """The carrier is enumerated once per instance, every read gets a fresh
-    list, and it equals the from-scratch enumeration."""
+    list, and it equals the from-scratch enumeration.  The pair table is
+    read off the carrier with no validity check."""
     expected = sorted(enumerate_chunks(backbone_model), key=value_label) + [FAIL]
     calls = []
+    checks = []
 
     def counted(*args):
         calls.append(args)
         return enumerate_chunks(*args)
 
+    def counted_check(txs):
+        checks.append(txs)
+        return check_chunk(txs)
+
     monkeypatch.setattr(acs, "enumerate_chunks", counted)
+    monkeypatch.setattr(ieutxo, "check_chunk", counted_check)
     inst = ChunkAcs(backbone_model)
     first = inst.enumerate_carrier()
+    assert checks == []
     assert first == expected
     first.reverse()
     first.pop()
