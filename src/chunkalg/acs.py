@@ -20,9 +20,9 @@ Three instances ship:
   composed by domain-disjoint union and failing on domain overlap.
 * :class:`ChunkAcs` — the chunks of a transaction model with the FAIL top:
   the motivating instance, and the only perfectly atomic one here.  Once
-  its carrier is enumerated, two carrier chunks compose by a pair table
-  read off the carrier, which returns the carrier's own chunk; every other
-  composition goes through :func:`~chunkalg.ieutxo.compose`.
+  its carrier is enumerated, two carrier chunks compose by the model's pair
+  table, which returns the carrier's own chunk; every other composition
+  goes through :func:`~chunkalg.ieutxo.compose`.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .ieutxo import (
     compose,
     enumerate_chunks,
     ledger_sets,
+    pair_masks,
     pos,
 )
 
@@ -406,12 +407,12 @@ class ChunkAcs(AcsInstance):
     connect to points up, alongside the spent channels).  The instance
     keeps each chunk's split and, once enumerated, its carrier.
 
-    With the carrier the instance keeps a pair table read off the carrier's
-    two-transaction chunks: each carrier chunk's mask of transactions and
-    the mask of transactions allowed after each of them.  Validity is
-    local, so two carrier chunks compose exactly when the second's mask
-    lies in the first's allowed mask, and their product is the carrier's
-    own chunk, which already carries its index and label.  Any other
+    With the carrier the instance keeps a pair table from the one the
+    enumeration walks (:func:`~chunkalg.ieutxo.pair_masks`): each carrier
+    chunk's mask of transactions and the mask of transactions allowed after
+    each of them.  Validity is local, so two carrier chunks compose exactly
+    when the second's mask lies in the first's allowed mask, and their
+    product is the carrier's own chunk, which carries no index.  Any other
     operand (a renamed chunk, or any composition made before the carrier is
     enumerated) goes through :func:`~chunkalg.ieutxo.compose`.  The table
     lives and dies with the carrier, so it never outlives the instance.
@@ -498,29 +499,18 @@ class ChunkAcs(AcsInstance):
         kept after the first call, since the model is immutable and one
         verdict reads the carrier several times."""
         if self._carrier is None:
+            follows = dict(zip(self.model.transactions, pair_masks(self.model)))
+            bit = {tx: 1 << k for k, tx in enumerate(follows)}
             chunks = sorted(enumerate_chunks(self.model), key=self.label)
             self._carrier = chunks + [FAIL]
-            self._read_pair_table(chunks)
+            for c in chunks:
+                mask, after = 0, ~0
+                for tx in c.txs:
+                    mask |= bit[tx]
+                    after &= follows[tx]
+                self._masks[c] = (mask, after)
+                self._chunk_of[c.txs] = c
         return list(self._carrier)
-
-    def _read_pair_table(self, chunks: list) -> None:
-        """Fill the pair table (see the class docstring) from the carrier's
-        own chunks, with no validity check: ``(t, u)`` is a carrier chunk
-        exactly when ``u`` may follow ``t``, and no transaction may follow
-        itself."""
-        bit = {tx: 1 << k for k, tx in enumerate(self.model.transactions)}
-        follows = dict.fromkeys(bit, 0)
-        for c in chunks:
-            if len(c) == 2:
-                t, u = c.txs
-                follows[t] |= bit[u]
-        for c in chunks:
-            mask, after = 0, ~0
-            for tx in c.txs:
-                mask |= bit[tx]
-                after &= follows[tx]
-            self._masks[c] = (mask, after)
-            self._chunk_of[c.txs] = c
 
     def sample_elements(self, n: int, seed: int) -> list:
         return _sample_from(self.enumerate_carrier(), n, seed, self.bot, self.top)

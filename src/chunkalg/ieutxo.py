@@ -19,7 +19,8 @@ outputs, unspent inputs and spent channels).  A seam check on two indices
 decides whether they compose; a merge of the two, the way a ledger applies
 a block to its UTxO map, gives the result's index.  Verdicts (composable,
 commuting, the Church–Rosser conclusions) check the seam alone; only a
-returned chunk or a ledger that is read merges.  Composition and
+returned chunk or a ledger that is read merges; enumeration walks a table
+of pair seams (:func:`pair_masks`) and indexes no chunk.  Composition and
 enumeration build a chunk, by the one trusted constructor, only where they
 return one; :class:`Chunk` built directly validates the whole list with
 :func:`check_chunk`, the from-scratch reference.  Totalizing the partial
@@ -433,18 +434,18 @@ class Chunk:
     _hash = None
 
     def __post_init__(self):
+        object.__setattr__(self, "txs", tuple(self.txs))
         report = check_chunk(self.txs)
         if not report.ok:
             raise NotAChunk(report)
-        object.__setattr__(self, "txs", tuple(self.txs))
 
     @classmethod
     def _trusted(cls, txs: TxList, index: Optional["_Index"] = None) -> "Chunk":
         """A chunk of ``txs`` already known valid, built without revalidation.
 
         The one constructor that skips :func:`check_chunk`; callers hand it
-        seam-checked compositions, renamed chunks, renamed singleton probes,
-        factors of a chunk and a model's transactions as singletons.
+        seam-checked compositions, enumerated chunks, renamed chunks and
+        probes, factors of a chunk and a model's transactions as singletons.
         """
         chunk = object.__new__(cls)
         object.__setattr__(chunk, "txs", txs)
@@ -550,8 +551,8 @@ EMPTY_CHUNK = Chunk._trusted((), _build_index(()))
 
 def _index_of(chunk: Chunk) -> _Index:
     """The chunk's index: a composition carries one, and an empty chunk has
-    the unit's; for any other chunk it is built afresh and not kept, since
-    pools hold many chunks."""
+    the unit's; for any other chunk (a directly built or enumerated one) it
+    is built afresh and not kept, since pools hold many chunks."""
     return chunk._index or (_build_index(chunk.txs) if chunk.txs else EMPTY_CHUNK._index)
 
 
@@ -761,25 +762,34 @@ class IeutxoModel:
         object.__setattr__(self, "_probes", tuple(filter(None, probes)))
 
 
+def pair_masks(model: IeutxoModel) -> list[int]:
+    """Bit ``j`` of entry ``i`` is set exactly when model transaction ``j``
+    may follow transaction ``i``, that is, when ``(t_i, t_j)`` is a chunk:
+    ``n²`` seam checks on the singleton indices, ``i = j`` included (no
+    transaction follows itself).  By locality this table fixes every chunk."""
+    singles = [_build_index((tx,)) for tx in model.transactions]
+    return [
+        sum(1 << j for j, y in enumerate(singles) if _seam(x, y) is not None)
+        for x in singles
+    ]
+
+
 def enumerate_chunks(model: IeutxoModel) -> Iterator[Chunk]:
-    """All chunks buildable from the model's enumerated transactions.
+    """All chunks of the model's transactions: :data:`EMPTY_CHUNK`, then
+    depth first in transaction order.  By locality ``t`` extends a chunk
+    exactly when it may follow each of its transactions, so the walk ANDs
+    their :func:`pair_masks` entries, checks no seam and indexes no chunk."""
+    follows = pair_masks(model)
 
-    Transactions never repeat inside a chunk (every nonempty transaction has
-    a position, and repeats collide), so the walk uses each at most once and
-    terminates; prefixes of chunks are chunks, which makes pruning safe.
-    """
-    singles = [((tx,), _build_index((tx,))) for tx in model.transactions]
+    def walk(prefix: TxList, allowed: int) -> Iterator[Chunk]:
+        for j, tx in enumerate(model.transactions):
+            if allowed >> j & 1:
+                grown = prefix + (tx,)
+                yield Chunk._trusted(grown)
+                yield from walk(grown, allowed & follows[j])
 
-    def walk(prefix: Chunk, used: frozenset[int]) -> Iterator[Chunk]:
-        yield prefix
-        for idx, (single, index) in enumerate(singles):
-            if idx in used:
-                continue
-            grown = _join(prefix._index, index)
-            if grown is not None:
-                yield from walk(Chunk._trusted(prefix.txs + single, grown), used | {idx})
-
-    return walk(EMPTY_CHUNK, frozenset())
+    yield EMPTY_CHUNK
+    yield from walk((), (1 << len(follows)) - 1)
 
 
 def is_iutxo_model(model: IeutxoModel) -> bool:

@@ -1,10 +1,11 @@
 """A model's chunk system composes its carrier chunks from a pair table.
 
-``ChunkAcs`` reads the table off its carrier when it first enumerates it.
-For two carrier chunks ``mcompose`` must answer what ``compose`` answers, and
-a defined answer must be the carrier's own chunk; every other operand goes
-through ``compose``.  ``compose`` and ``pairwise_chunk_oracle`` are the
-references.
+``ChunkAcs`` reads the table from ``pair_masks``, the table the enumeration
+walks, when it first enumerates its carrier.  For two carrier chunks
+``mcompose`` must answer what ``compose`` answers, and a defined answer must
+be the carrier's own chunk, which carries no index; every other operand goes
+through ``compose``.  ``compose``, ``check_chunk`` and
+``pairwise_chunk_oracle`` are the references.
 """
 
 import pytest
@@ -19,8 +20,10 @@ from chunkalg.ieutxo import (
     EMPTY_CHUNK,
     FAIL,
     IeutxoModel,
+    check_chunk,
     compose,
     enumerate_chunks,
+    pair_masks,
     pairwise_chunk_oracle,
     pos,
 )
@@ -61,7 +64,21 @@ def test_carrier_pairs_compose_as_compose_does(seed, n_txs):
                 assert len(set(cat)) < len(cat) or not pairwise_chunk_oracle(cat)
             else:
                 assert pairwise_chunk_oracle(cat)
-                assert got is own[cat] and got._index is not None
+                assert got is own[cat]
+
+
+@given(st.integers(0, 2**20), st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_pair_table_matches_check_chunk_on_every_ordered_pair(seed, n_txs):
+    """Bit (i, j) is set exactly when (t_i, t_j) is a chunk, i = j included."""
+    model = _model(seed, n_txs)
+    txs = model.transactions
+    table = pair_masks(model)
+    assert len(table) == len(txs)
+    for i, t in enumerate(txs):
+        for j, u in enumerate(txs):
+            assert bool(table[i] >> j & 1) == check_chunk((t, u)).ok
+        assert table[i] >> len(txs) == 0
 
 
 @given(st.integers(0, 2**20), st.integers(2, 4))

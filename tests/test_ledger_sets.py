@@ -36,6 +36,23 @@ def test_singleton_sets(pair_txs):
     assert stx((tx,)) == frozenset()
 
 
+def test_an_iterator_reads_as_its_tuple(pair_txs):
+    """A one-shot iterator is read once: checked, then kept."""
+    spender = Transaction([Input("a", "k")], [])
+    for txs in ((spender,), pair_txs, ()):
+        assert Chunk(iter(txs)).txs == txs
+        assert ledger_sets(iter(txs)) == ledger_sets(txs)
+        assert utxi(tx for tx in txs) == utxi(txs)
+        assert is_blockchain(tx for tx in txs) == is_blockchain(txs)
+    assert utxi(tx for tx in (spender,)) == {"a"}
+    assert not is_blockchain(iter((spender,)))
+    tx, ty = pair_txs
+    with pytest.raises(NotAChunk):
+        Chunk(iter((ty, tx)))
+    with pytest.raises(NotAChunk):
+        utxi(t for t in (ty, tx))
+
+
 def test_combined_sets(pair_txs):
     tx, ty = pair_txs
     assert stx((tx, ty)) == frozenset("de")

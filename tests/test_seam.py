@@ -1,15 +1,16 @@
 """Seam composition against the from-scratch references.
 
-``compose``, ``composable``, ``check_church_rosser`` and ``enumerate_chunks``
-check only the seam between two chunks' position indices, and merge the
-indices only where a chunk is returned or a ledger read; the blocked-channel
-analysis asks one validator per renamed probe, and builds a probe's
-transaction only when that validator reads it.  They are compared here with
-``check_chunk`` and ``pairwise_chunk_oracle`` on the concatenation, with each
-seam violation kind forced, with a depth-first walk over every list of
-distinct model transactions, and with the probe path that renamed every
-probe with a frozen copy of the old ``_retarget`` and checked the whole
-concatenation.  Counts pin what a probe builds.
+``compose``, ``composable`` and ``check_church_rosser`` check only the seam
+between two chunks' position indices, and merge the indices only where a
+chunk is returned or a ledger read; ``enumerate_chunks`` checks the seam of
+each ordered pair of model transactions once and walks that table; the
+blocked-channel analysis asks one validator per renamed probe, and builds a
+probe's transaction only when that validator reads it.  They are compared
+here with ``check_chunk`` and ``pairwise_chunk_oracle`` on the
+concatenation, with each seam violation kind forced, with a depth-first
+walk over every list of distinct model transactions, and with the probe
+path that renamed every probe with a frozen copy of the old ``_retarget``
+and checked the whole concatenation.  Counts pin what a probe builds.
 """
 
 import json
@@ -249,7 +250,7 @@ def _singleton_compose_blocked(ch, model, inputs, is_chunk=lambda txs: check_chu
     return frozenset(blocked)
 
 
-@given(st.integers(0, 2**20), st.integers(2, 4))
+@given(st.integers(0, 2**20), st.integers(1, 5))
 @settings(max_examples=40, deadline=None)
 def test_probe_loop_and_enumeration_match_references(seed, n_txs):
     cfg = GenConfig(seed=seed, max_txs=n_txs)
@@ -303,20 +304,24 @@ def test_the_unit_carries_its_index(pair_txs, monkeypatch):
 
 
 def test_enumeration_and_church_rosser_index_each_operand_once(backbone_model, monkeypatch):
-    """Enumeration builds one index per model transaction and joins indices
-    from there; a Church–Rosser check indexes each operand once, runs all
-    its compositions on indices, and merges only the three whose ledgers it
-    reads or extends (y·x, y·x·x2 and y·x2): its other three compositions
-    only check their seams."""
+    """Enumeration builds one index per model transaction, checks the n²
+    seams of their ordered pairs once and merges none; a Church–Rosser
+    check indexes each operand once, runs all its compositions on indices,
+    and merges only the three whose ledgers it reads or extends (y·x,
+    y·x·x2 and y·x2): its other three compositions only check their
+    seams."""
     calls = _count_calls(monkeypatch, "_build_index")
-    chunks = list(enumerate_chunks(backbone_model))
-    assert len(chunks) > len(backbone_model.transactions)
-    assert calls == [((tx,),) for tx in backbone_model.transactions]
-    tx1, tx2, tx3, _ = backbone_model.transactions
-    calls.clear()
-    y, x, x2 = Chunk((tx1,)), Chunk((tx2,)), Chunk((tx3,))
     # A merge's own seam check goes through ieutxo._seam too.
     joins, seams = _count_calls(monkeypatch, "_join"), _count_calls(monkeypatch, "_seam")
+    txs = backbone_model.transactions
+    chunks = list(enumerate_chunks(backbone_model))
+    assert len(chunks) > len(txs)
+    assert calls == [((tx,),) for tx in txs]
+    assert (len(joins), len(seams)) == (0, len(txs) ** 2)
+    tx1, tx2, tx3, _ = txs
+    for counted in (calls, joins, seams):
+        counted.clear()
+    y, x, x2 = Chunk((tx1,)), Chunk((tx2,)), Chunk((tx3,))
     assert check_church_rosser(y, x, x2).status == CR_VERIFIED
     assert calls == [(y.txs,), (x.txs,), (x2.txs,)]
     assert (len(joins), len(seams)) == (3, 6)
