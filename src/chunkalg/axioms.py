@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from graphlib import CycleError, TopologicalSorter
 from typing import Any, Iterable, Optional, Sequence
 
@@ -131,8 +132,11 @@ def _tuples(samples: Sequence, k: int, seed: int, cap: int) -> Iterable[tuple]:
     n = len(samples)
     if n**k <= cap:
         return itertools.product(samples, repeat=k)
-    rng = random.Random(seed)
-    return (tuple(samples[rng.randrange(n)] for _ in range(k)) for _ in range(cap))
+    # The draws of random.Random(seed).randrange(n), without its layers:
+    # CPython takes getrandbits(n.bit_length()) until a value is below n.
+    bits = partial(random.Random(seed).getrandbits, n.bit_length())
+    draws = (samples[r] for r in iter(bits, None) if r < n)
+    return itertools.islice(zip(*[draws] * k), cap)
 
 
 # ---------------------------------------------------------------------------

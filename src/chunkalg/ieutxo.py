@@ -34,18 +34,21 @@ Blocked-channel analysis probes each unspent input or output with the
 model's probe candidates (its enumeration unless it declares others),
 renamed so that one slot lands on the queried position and every other
 position is fresh.  Freshness shrinks the seam to that one position, so
-each probe comes down to one validator call; the fresh atoms are minted
-once per call, since they need only avoid the chunk's positions and the
-candidate's own.  A probe builds its point, and builds the spender's
-transaction only when a validator reads it (only ``SpendsAtMostNInputs``
-does).  Renaming is equivariant, and a permutation that fixes a value's
-support (the atoms its renaming reads, :func:`~chunkalg.atoms.support`)
-leaves the value unchanged.  So a candidate whose keys, datums and
-validators mention no atom is probed by moving its positions alone (an
-output slot not even that: no validator sees its output's position); only a
-candidate with support is renamed by a permutation.  Which candidates are
-chunks on their own, and which are support-free, is found once, when the
-model is built, and the same facts validate the model's enumeration.
+each probe comes down to one validator call.  Renaming is equivariant, and
+a permutation that fixes a value's support (the atoms its renaming reads,
+:func:`~chunkalg.atoms.support`) leaves the value unchanged.  So a
+candidate whose keys, datums and validators mention no atom has one probe
+per slot, whatever the renaming: its output slot as it is (no validator
+sees its output's position), or the point ``Input(a, key)``.  The model
+keeps those slots in two tables, built with it, and a query reads them
+with no plan, fresh atom or permutation; the point's spender, the
+candidate with its positions moved, is built only when a validator reads
+it (only ``SpendsAtMostNInputs`` does).  Only a candidate with support is
+planned, its fresh atoms minted once per query since they need only avoid
+the chunk's positions and the candidate's own, and renamed by a
+permutation.  Which candidates are chunks on their own, and which are
+support-free, is found once, when the model is built, and the same facts
+validate the model's enumeration.
 """
 
 from __future__ import annotations
@@ -215,16 +218,16 @@ class _SpendingContext:
     """A pointed transaction whose transaction is built on first read.
 
     Every node kind but ``SpendsAtMostNInputs`` reads only the point, so a
-    probe's spender is built only for a validator that reads it; it is then
-    checked by :class:`PointedTransaction`, and kept.
+    probe's spender, ``build(*args)``, is built only for a validator that
+    reads it; it is then checked by :class:`PointedTransaction`, and kept.
     """
 
-    def __init__(self, point: Input, build: Callable[[], Transaction]):
-        self.point, self._build = point, build
+    def __init__(self, point: Input, build: Callable[..., Transaction], *args):
+        self.point, self._build, self._args = point, build, args
 
     @cached_property
     def transaction(self) -> Transaction:
-        return PointedTransaction(self._build(), self.point).transaction
+        return PointedTransaction(self._build(*self._args), self.point).transaction
 
 
 TxList = tuple[Transaction, ...]
@@ -730,15 +733,22 @@ class IeutxoModel:
     The model is immutable: the probe candidates that are chunks on their
     own, with their positions and whether they are support-free, are found
     once here (see :func:`_probe_facts`), not on every blocked-channel
-    query.  Each enumerated transaction's facts are found once, and they
-    also decide whether it is a chunk on its own.  A model with another
-    universe is a new model (``dataclasses.replace``).
+    query.  From them it also builds the support-free candidates' slot
+    tables, which the queries read as they are (see :func:`_blocked`): the
+    output slots, and the input slots each with its candidate and
+    positions, in candidate and then position order.  Each enumerated
+    transaction's facts are found once, and they also decide whether it is
+    a chunk on its own.  A model with another universe is a new model
+    (``dataclasses.replace``).
     """
 
     name: str
     transactions: TxList = ()
     probe_candidates: Optional[TxList] = None
     _probes: tuple = field(default=(), init=False, repr=False)
+    _free_outs: tuple = field(default=(), init=False, repr=False)
+    _free_ins: tuple = field(default=(), init=False, repr=False)
+    _with_support: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "transactions", tuple(self.transactions))
@@ -758,8 +768,13 @@ class IeutxoModel:
         cands = self.probe_candidates
         cands = self.transactions if cands is None else tuple(cands)
         object.__setattr__(self, "probe_candidates", cands)
-        probes = (facts.get(c) or _probe_facts(c) for c in cands)
-        object.__setattr__(self, "_probes", tuple(filter(None, probes)))
+        probes = tuple(filter(None, (facts.get(c) or _probe_facts(c) for c in cands)))
+        object.__setattr__(self, "_probes", probes)
+        # A candidate's slots are in position order: its positions are distinct.
+        free = [(cand, cpos) for cand, cpos, support_free in probes if support_free]
+        object.__setattr__(self, "_free_outs", tuple(o for cand, _ in free for o in cand.outputs))
+        object.__setattr__(self, "_free_ins", tuple((c, p, i) for c, p in free for i in c.inputs))
+        object.__setattr__(self, "_with_support", tuple(f for f in probes if not f[2]))
 
 
 def pair_masks(model: IeutxoModel) -> list[int]:
@@ -805,30 +820,40 @@ def is_iutxo_model(model: IeutxoModel) -> bool:
 # Blocked channels
 
 
-_ProbePlan = list[tuple[Transaction, Union[Input, Output], dict, bool]]
+_ProbePlan = list[tuple[Transaction, Union[Input, Output], dict]]
 
 
-def _probe_plan(
-    model: IeutxoModel, avoid: frozenset[Atom], slots: Callable[[Transaction], tuple]
-) -> _ProbePlan:
-    """(candidate, slot, renaming of the candidate's other positions, whether
-    the candidate is support-free) for each probe candidate and each of its
-    ``slots`` (its inputs, outputs or both), in candidate order and then
-    slot position order.
+def _fresh_for(cpos: tuple[Atom, ...], avoid: frozenset[Atom]) -> list[Atom]:
+    """Atoms for a candidate's other positions, outside ``avoid`` and the
+    candidate's positions ``cpos``.
 
-    Made once per call, not once per probe: the other positions go to
-    atoms minted outside ``avoid`` and the candidate's positions, and every
-    queried atom lies in ``avoid``, so the fresh atoms do not depend on the
+    Every queried atom lies in ``avoid``, so the atoms do not depend on the
     queried atom or on the slot.  Of the ``2 * len(cpos) - 1`` atoms minted
     outside ``avoid``, at most ``len(cpos)`` are the candidate's own, so
     dropping those leaves enough, with no copy of ``avoid``.
     """
+    return [a for a in fresh_atoms(2 * len(cpos) - 1, avoid) if a not in cpos]
+
+
+def _probe_plan(
+    facts: tuple, avoid: frozenset[Atom], slots: Callable[[Transaction], tuple]
+) -> _ProbePlan:
+    """(candidate, slot, renaming of the candidate's other positions) for
+    each candidate of the probe ``facts`` (see :func:`_probe_facts`) and
+    each of its ``slots`` (its inputs, outputs or both), in candidate order
+    and then slot position order.
+
+    Made once per call, not once per probe: the other positions go to
+    atoms fresh for ``avoid`` (:func:`_fresh_for`).  Blocked-channel
+    queries plan only the candidates with support; the support-free ones
+    are read from the model's slot tables (see :func:`_blocked`).
+    """
     plan = []
-    for cand, cpos, support_free in model._probes:
-        fresh = [a for a in fresh_atoms(2 * len(cpos) - 1, avoid) if a not in cpos]
+    for cand, cpos, _ in facts:
+        fresh = _fresh_for(cpos, avoid)
         for slot in sorted(slots(cand), key=_position):
             others = [p for p in cpos if p != slot.position]
-            plan.append((cand, slot, dict(zip(others, fresh)), support_free))
+            plan.append((cand, slot, dict(zip(others, fresh))))
     return plan
 
 
@@ -842,29 +867,30 @@ def _relocated(moves: dict, tx: Transaction) -> Transaction:
     )
 
 
+def _spender(
+    cand: Transaction, cpos: tuple[Atom, ...], slot: Input, a: Atom, ix: _Index
+) -> Transaction:
+    """The support-free candidate ``cand`` with its input ``slot`` moved to
+    ``a`` and its other positions to atoms fresh for the probed chunk's
+    index ``ix``: a probe's spending transaction, which only a validator
+    that reads it builds (see :class:`_SpendingContext`)."""
+    moves = dict(zip([p for p in cpos if p != slot.position], _fresh_for(cpos, ix.positions())))
+    moves[slot.position] = a
+    return _relocated(moves, cand)
+
+
 def _renamed_probes(
     plan: _ProbePlan, a: Atom
 ) -> Iterator[tuple[Union[Input, Output], Callable[[], Transaction]]]:
     """Each planned probe at ``a``: its slot as a validator reads it, and a
-    builder of the candidate renamed so that the slot lands on ``a`` and
-    the other positions on their fresh atoms.
-
-    A support-free candidate only has its positions moved (:func:`_relocated`),
-    and a validator reads a point whole but an output only through its
-    datum and validator: so its point is built at ``a``, and an output slot
-    is read as it is.  A candidate with support, slot and builder alike, is
-    renamed by the exact permutation completing that map, so scripts, keys
-    or datums that name a fresh atom or ``a`` are renamed consistently with
-    the positions.
+    builder of the candidate, both renamed by the exact permutation that
+    sends the slot to ``a`` and the other positions to their fresh atoms,
+    so scripts, keys or datums that name a fresh atom or ``a`` are renamed
+    consistently with the positions.
     """
-    for cand, slot, others, support_free in plan:
-        moves = {**others, slot.position: a}
-        if support_free:
-            read = Input(a, slot.key) if isinstance(slot, Input) else slot
-            yield read, partial(_relocated, moves, cand)
-        else:
-            perm = Permutation.extending(moves)
-            yield slot.rename(perm), partial(cand.rename, perm)
+    for cand, slot, others in plan:
+        perm = Permutation.extending({**others, slot.position: a})
+        yield slot.rename(perm), partial(cand.rename, perm)
 
 
 def _blocked(ch: Chunk, model: IeutxoModel, inputs: bool) -> frozenset[Atom]:
@@ -881,22 +907,33 @@ def _blocked(ch: Chunk, model: IeutxoModel, inputs: bool) -> frozenset[Atom]:
     ``SpendsAtMostNInputs`` does; see :class:`_SpendingContext`).
 
     A permutation that fixes a value's support leaves the value unchanged,
-    so a support-free candidate (see :func:`_probe_facts`) keeps its keys,
-    datums and validators under every probe: its probe is the candidate
-    with its positions moved, its output slot is read as it is, and no
-    permutation is built or validator renamed.  A candidate with support is
-    renamed by the exact permutation (see :func:`_renamed_probes`).
+    so a support-free candidate (see :func:`_probe_facts`) has one probe per
+    slot, whatever the renaming: it is read from the model's slot tables,
+    with no plan, fresh atom or permutation.  At an unspent input the
+    candidate's output slot is evaluated as it is (no validator sees its
+    own output's position); at an unspent output the point is
+    ``Input(a, key)``, and the spender is the candidate relocated
+    (:func:`_spender`).  Only candidates with support are planned and
+    renamed (:func:`_probe_plan`, :func:`_renamed_probes`), after the
+    tables; the verdict does not depend on the order.
     """
     ix = _index_of(ch)
-    slots = (lambda c: c.outputs) if inputs else (lambda c: c.inputs)
-    plan = _probe_plan(model, ix.positions(), slots)
+    plan = ()
+    if model._with_support:
+        slots = attrgetter("outputs" if inputs else "inputs")
+        plan = _probe_plan(model._with_support, ix.positions(), slots)
 
     def connects(a: Atom) -> bool:
         if inputs:
             spender = PointedTransaction(*ix.ins[a])
-            return any(validates(slot, spender) for slot, _ in _renamed_probes(plan, a))
+            return any(validates(o, spender) for o in model._free_outs) or any(
+                validates(slot, spender) for slot, _ in _renamed_probes(plan, a)
+            )
         out = ix.outs[a]
         return any(
+            validates(out, _SpendingContext(Input(a, i.key), _spender, cand, cpos, i, a, ix))
+            for cand, cpos, i in model._free_ins
+        ) or any(
             validates(out, _SpendingContext(point, build))
             for point, build in _renamed_probes(plan, a)
         )
@@ -912,7 +949,9 @@ def blocked_utxi(ch: Chunk, model: IeutxoModel) -> frozenset[Atom]:
     Single-transaction probes suffice because validity is local, and a
     probe whose other positions are fresh meets the chunk at the queried
     input alone, so each probe costs one validator call, and builds no
-    transaction: the spender is the chunk's own (see :func:`_blocked`).
+    transaction: the spender is the chunk's own (see :func:`_blocked`).  A
+    support-free candidate's output slots are read from the model's table
+    as they are; only a candidate with support is renamed.
     """
     return _blocked(ch, model, inputs=True)
 
@@ -929,11 +968,12 @@ def renamed_probe_chunks(
 
     Every candidate slot (input or output) is retargeted onto every queried
     atom with the remaining positions fresh, giving the singleton chunks
-    that can possibly connect there.  Candidates that are not chunks on
+    that can possibly connect there; each candidate, support-free or not,
+    is renamed by its exact permutation.  Candidates that are not chunks on
     their own are skipped.
     """
     avoid = frozenset(atoms)
-    plan = _probe_plan(model, avoid, lambda c: c.inputs + c.outputs)
+    plan = _probe_plan(model._probes, avoid, lambda c: c.inputs + c.outputs)
     return [
         Chunk._trusted((build(),))
         for a in sorted(avoid)

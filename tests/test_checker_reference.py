@@ -515,6 +515,22 @@ def _drawn(n: int, k: int, seed: int, cap: int) -> list:
     return list(_tuples(range(n), k, seed, cap))
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 20, 100])
+def test_seeded_draws_are_randrange_draws(n, k):
+    """Below ``n**k`` tuples, ``_tuples`` draws each index as
+    ``random.Random(seed).randrange(n)`` does, in order; the golden reports
+    were made with those draws, so a Python whose ``randrange`` draws
+    differently fails here rather than changing the reports silently."""
+    samples = [f"s{i}" for i in range(n)]
+    for seed in (0, 1, 202):
+        cap = min(n**k - 1, 300)
+        rng = random.Random(seed)
+        want = [tuple(samples[rng.randrange(n)] for _ in range(k)) for _ in range(cap)]
+        assert list(_tuples(samples, k, seed, cap)) == want
+        assert list(_tuples(samples, k, seed, n**k)) == list(itertools.product(samples, repeat=k))
+
+
 @pytest.mark.parametrize("cap", [10_000, 60])
 def test_each_drawn_pair_is_composed_once_in_each_order(cap):
     for inst in _counted_instances():

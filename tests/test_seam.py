@@ -412,13 +412,19 @@ def _named_position_txs(draw, ch):
     return Transaction([Input(in_at, draw(st.sampled_from(["k0", "k1"])))], [Output(out_at, 0, script)])
 
 
+def _has_support(tx):
+    facts = ieutxo._probe_facts(tx)
+    return facts is not None and not facts[2]
+
+
 @st.composite
 def probe_cases(draw):
     """(probed chunk, model): a chunk grown from pool transactions that keep
     it a chunk, then an unspent output outside the pool that limits its
-    spender's inputs, and a probe universe with at least one support-free
-    candidate and one naming positions in a validator, among pool
-    transactions, some of which are not chunks on their own."""
+    spender's inputs, and a probe universe of one of three kinds: at least
+    one support-free candidate and one naming positions in a validator,
+    among pool transactions, some of which are not chunks on their own;
+    support-free candidates only; or candidates with support only."""
     ch = EMPTY_CHUNK
     for tx in draw(st.lists(_pool_txs(True), min_size=1, max_size=4)):
         grown = compose(ch, Chunk((tx,)))
@@ -430,10 +436,21 @@ def probe_cases(draw):
     reads = draw(st.sampled_from([limit, Or(KeyEquals("k0"), limit)]))
     at = draw(st.sampled_from(("d", "z3")))
     ch = compose(ch, Chunk((Transaction((), [Output(at, 0, reads)]),)))
-    cands = [draw(_free_txs()), draw(_named_position_txs(ch))]
-    cands += draw(st.lists(st.one_of(_free_txs(), _pool_txs(True), _pool_txs(False)), max_size=2))
+    kind = draw(st.sampled_from(("mixed", "support-free", "with support")))
+    if kind == "mixed":
+        cands = [draw(_free_txs()), draw(_named_position_txs(ch))]
+        more = st.one_of(_free_txs(), _pool_txs(True), _pool_txs(False))
+    elif kind == "support-free":
+        cands, more = [draw(_free_txs())], _free_txs()
+    else:
+        cands = [draw(_named_position_txs(ch))]
+        more = st.one_of(_named_position_txs(ch), _pool_txs(True).filter(_has_support))
+    cands += draw(st.lists(more, max_size=2))
     cands = draw(st.permutations(cands))
-    return Chunk(ch.txs), IeutxoModel("probes", (), probe_candidates=tuple(cands))
+    model = IeutxoModel("probes", (), probe_candidates=tuple(cands))
+    assert kind != "support-free" or not model._with_support
+    assert kind != "with support" or not (model._free_outs or model._free_ins)
+    return Chunk(ch.txs), model
 
 
 def _renamed_probe_chunks_reference(atoms, model):
@@ -452,9 +469,10 @@ def _renamed_probe_chunks_reference(atoms, model):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_probe_plan_matches_singleton_reference(case):
     """One validator call per probe, with fresh atoms planned once per call,
-    against renaming each probe afresh and checking the whole concatenation:
-    support-free candidates, probed without a permutation, and candidates
-    with support, whose validators, keys and datums name atoms (fresh ones
+    against renaming each probe afresh and checking the whole concatenation,
+    on universes that mix both kinds or hold one kind only: support-free
+    candidates, read from the model's slot tables, and candidates with
+    support, whose validators, keys and datums name atoms (fresh ones
     and queried ones too); validators that read the whole spending
     transaction, whether the spender is built or not, queried atoms among
     the candidates' positions, and non-chunk candidates.  The reference
@@ -497,10 +515,22 @@ LEDGER_PROBES = IeutxoModel("ledger-probes", (
 ))
 
 
+def _count_planning(monkeypatch):
+    """Every call from here on that plans or renames a probe, or mints its
+    fresh atoms: ``_probe_plan``, ``fresh_atoms`` and ``Permutation.extending``."""
+    calls = []
+    for owner, name in ((ieutxo, "_probe_plan"), (ieutxo, "fresh_atoms"), (Permutation, "extending")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    return calls
+
+
 def test_point_local_probes_build_no_transaction(monkeypatch):
     """A ledger-ingest-style block, every validator point-local: no probe
     builds a transaction, and each probe of an unspent input hands the
-    spender's validator the candidate's own output, not a relocated one."""
+    spender's validator the candidate's own output, not a relocated one.
+    The candidates are support-free, so they are read from the model's slot
+    tables: nothing is planned, minted or renamed."""
     block = Chunk((
         Transaction([Input("c1", "k0"), Input("c2", "k5")],
                     [Output("p1", 0, KeyEquals("k0")), Output("p2", 1, KeyEquals("k7"))]),
@@ -516,6 +546,7 @@ def test_point_local_probes_build_no_transaction(monkeypatch):
     ))
     assert _singleton_compose_blocked(block, LEDGER_PROBES, True) == {"c2"}
     assert _singleton_compose_blocked(block, LEDGER_PROBES, False) == {"p8"}
+    planned = _count_planning(monkeypatch)
     built = _count_calls(monkeypatch, "_relocated")
     checked = _count_calls(monkeypatch, "validates")
     assert blocked_utxi(block, LEDGER_PROBES) == {"c2"}
@@ -524,18 +555,20 @@ def test_point_local_probes_build_no_transaction(monkeypatch):
     checked.clear()
     assert blocked_utxo(block, LEDGER_PROBES) == {"p8"}
     assert len(checked) == 8  # p3 to p6 take the first probe, p7 the second, p8 neither
-    assert built == []
+    assert built == [] and planned == []
 
 
 def test_spends_at_most_n_inputs_builds_one_transaction_per_probe(monkeypatch):
     """An unspent output that limits its spender's inputs builds one
-    transaction for each probe it evaluates, holding the probe's point; a
-    point-local one beside it builds none."""
+    transaction for each probe it evaluates, holding the probe's point, and
+    mints that probe's fresh atoms then; a point-local one beside it builds
+    none.  Nothing is planned or renamed."""
     block = Chunk((Transaction([Input("c", "k0")], [
         Output("s0", 0, SpendsAtMostNInputs(0)),
         Output("s1", 0, SpendsAtMostNInputs(1)),
         Output("t", 0, AcceptAll()),
     ]),))
+    planned = _count_planning(monkeypatch)
     built = []
     real = ieutxo._relocated
     monkeypatch.setattr(ieutxo, "_relocated", lambda *args: built.append(real(*args)) or built[-1])
@@ -546,7 +579,7 @@ def test_spends_at_most_n_inputs_builds_one_transaction_per_probe(monkeypatch):
     assert len(reading) == len(built) == 3 and len(checked) == 4
     for ctx, tx in zip(reading, built):
         assert ctx.transaction is tx and ctx.point in tx.inputs
-    assert len(built) == 3
+    assert len(built) == 3 and planned == ["fresh_atoms"] * 3
 
 
 def test_spending_context_checks_its_point():
