@@ -23,7 +23,11 @@ returned chunk or a ledger that is read merges; enumeration walks a table
 of pair seams (:func:`pair_masks`) and indexes no chunk.  Composition and
 enumeration build a chunk, by the one trusted constructor, only where they
 return one; :class:`Chunk` built directly validates the whole list with
-:func:`check_chunk`, the from-scratch reference.  Totalizing the partial
+:func:`check_chunk`, the from-scratch reference.  A validator reads a datum
+and a :class:`PointedTransaction`; a context whose point is read off the
+transaction's own inputs (the scan's matched inputs, a seam's spends, the
+chunk's spender at an unspent input) is built unchecked, and only a point
+from elsewhere is checked.  Totalizing the partial
 composition with the absorbing :data:`FAIL` element turns the chunk set into
 a monoid with an explicit failure top.  ``FAIL`` is an interned
 :class:`TopElement`, the kind of failure element every chunk system in
@@ -90,10 +94,18 @@ class ModelError(ValueError):
 # Core data
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Input:
+    """An atom-labelled key.  A blocked-channel query builds one per probe
+    at an unspent output, so the constructor fills the fields directly, not
+    through the frozen ``__setattr__``; the value is the frozen dataclass's."""
+
     position: Atom
     key: Any
+
+    def __init__(self, position: Atom, key: Any):
+        fields = self.__dict__
+        fields["position"], fields["key"] = position, key
 
     def rename(self, perm: Permutation) -> "Input":
         return Input(perm(self.position), act_opaque(perm, self.key))
@@ -201,7 +213,16 @@ class Transaction:
 
 @dataclass(frozen=True)
 class PointedTransaction:
-    """A transaction with one distinguished input: the shape validators see."""
+    """A transaction with one distinguished input: the shape validators see.
+
+    Built directly, it checks that the point is one of the transaction's
+    inputs; renaming and a probe's relocated spender (see
+    :class:`_SpendingContext`) are built that way.  A context whose point is
+    read off the transaction's own inputs (a chunk's scan in
+    :func:`check_chunk`, a seam's spends in :func:`_seam`, the chunk's
+    spender at an unspent input in :func:`_blocked`, a generated output's
+    key search) is built unchecked by :meth:`_trusted`.
+    """
 
     transaction: Transaction
     point: Input
@@ -209,6 +230,15 @@ class PointedTransaction:
     def __post_init__(self):
         if self.point not in self.transaction.inputs:
             raise ValueError("point must be one of the transaction's inputs")
+
+    @classmethod
+    def _trusted(cls, transaction: Transaction, point: Input) -> "PointedTransaction":
+        """``transaction`` pointed at ``point``, one of its own inputs, built
+        without the membership check."""
+        ptx = object.__new__(cls)
+        fields = ptx.__dict__
+        fields["transaction"], fields["point"] = transaction, point
+        return ptx
 
     def rename(self, perm: Permutation) -> "PointedTransaction":
         return PointedTransaction(self.transaction.rename(perm), self.point.rename(perm))
@@ -331,17 +361,32 @@ def check_chunk(txs: Union[Sequence[Transaction], "Chunk"]) -> ChunkReport:
     The scan order is deterministic: transactions left to right, a
     transaction's inputs before its outputs, positions in atom order.
     Reported ``tx_indices`` are (first occurrence, second occurrence) for
-    duplicates and (input transaction, output transaction) for pointer and
-    validation faults.  A :class:`Chunk` is checked like any list of its
-    transactions: the reference trusts no type.
+    duplicates, (input transaction, output transaction) for pointer faults
+    and (output transaction, input transaction) for validation faults.  A
+    :class:`Chunk` is checked like any list of its transactions: the
+    reference trusts no type, builds no index and calls the validator for
+    every matched input.  It is the checking path of :class:`Chunk`: a chunk
+    built directly is validated here, and only :meth:`Chunk._trusted` skips it.
+
+    A first pass records each output position's first output and the
+    transaction of its second occurrence, if any; the earliest such
+    transaction is where the scan's output check fires, unless an input
+    violation comes first.  A matched input's context is read off its own
+    transaction, so it is built unchecked (:meth:`PointedTransaction._trusted`).
     """
     txs = tuple(txs)
-    out_occ: dict[Atom, list[tuple[int, Output]]] = {}
+    first: dict[Atom, tuple[int, Output]] = {}
+    second: dict[Atom, int] = {}
     for t, tx in enumerate(txs):
         for o in tx.outputs:
-            out_occ.setdefault(o.position, []).append((t, o))
+            p = o.position
+            if p not in first:
+                first[p] = (t, o)
+            elif p not in second:
+                second[p] = t
+    dup_t = min(second.values(), default=None)
     seen_inputs: dict[Atom, int] = {}
-    seen_outputs: dict[Atom, int] = {}
+    pointed = PointedTransaction._trusted
     for t, tx in enumerate(txs):
         if tx.is_empty():
             return ChunkReport(
@@ -354,15 +399,13 @@ def check_chunk(txs: Union[Sequence[Transaction], "Chunk"]) -> ChunkReport:
                     Violation(DUPLICATE_INPUT_POSITION, (p,), (seen_inputs[p], t)),
                 )
             seen_inputs[p] = t
-            occ = out_occ.get(p, ())
-            if len(occ) > 1:
+            if p in second:
                 return ChunkReport(
-                    Violation(
-                        DUPLICATE_OUTPUT_POSITION, (p,), (occ[0][0], occ[1][0])
-                    ),
+                    Violation(DUPLICATE_OUTPUT_POSITION, (p,), (first[p][0], second[p])),
                 )
-            if occ:
-                ot, o = occ[0]
+            occ = first.get(p)
+            if occ is not None:
+                ot, o = occ
                 if ot >= t:
                     return ChunkReport(
                         Violation(
@@ -372,7 +415,7 @@ def check_chunk(txs: Union[Sequence[Transaction], "Chunk"]) -> ChunkReport:
                             "input points to a later or same-transaction output",
                         ),
                     )
-                if not validates(o, PointedTransaction(tx, i)):
+                if not validates(o, pointed(tx, i)):
                     return ChunkReport(
                         Violation(
                             VALIDATION_FAILED,
@@ -381,13 +424,12 @@ def check_chunk(txs: Union[Sequence[Transaction], "Chunk"]) -> ChunkReport:
                             "earlier output refuses the input",
                         ),
                     )
-        for o in tx.outputs:
-            p = o.position
-            if p in seen_outputs:
-                return ChunkReport(
-                    Violation(DUPLICATE_OUTPUT_POSITION, (p,), (seen_outputs[p], t)),
-                )
-            seen_outputs[p] = t
+        if t == dup_t:
+            # The first output here that is not its position's first occurrence.
+            p = next(o.position for o in tx.outputs if first[o.position] != (t, o))
+            return ChunkReport(
+                Violation(DUPLICATE_OUTPUT_POSITION, (p,), (first[p][0], t)),
+            )
     return ChunkReport()
 
 
@@ -583,7 +625,7 @@ def _seam(x: _Index, y: _Index) -> Optional[set[Atom]]:
     spends = xo & yi
     for p in spends:
         tx, i = y.ins[p]
-        if not validates(x.outs[p], PointedTransaction(tx, i)):
+        if not validates(x.outs[p], PointedTransaction._trusted(tx, i)):
             return None
     return spends
 
@@ -925,7 +967,7 @@ def _blocked(ch: Chunk, model: IeutxoModel, inputs: bool) -> frozenset[Atom]:
 
     def connects(a: Atom) -> bool:
         if inputs:
-            spender = PointedTransaction(*ix.ins[a])
+            spender = PointedTransaction._trusted(*ix.ins[a])
             return any(validates(o, spender) for o in model._free_outs) or any(
                 validates(slot, spender) for slot, _ in _renamed_probes(plan, a)
             )
