@@ -18,9 +18,10 @@ of the result, depend only on a position index of each (its unspent
 outputs, unspent inputs and spent channels).  A seam check on two indices
 decides whether they compose; a merge of the two, the way a ledger applies
 a block to its UTxO map, gives the result's index.  Verdicts (composable,
-commuting, the Church–Rosser conclusions) check the seam alone; only a
-returned chunk or a ledger that is read merges; enumeration walks a table
-of pair seams (:func:`pair_masks`) and indexes no chunk.  Composition and
+commuting, Church–Rosser, whose premises and conclusions are four seams on
+its operands' indices) check seams alone; only a returned chunk merges;
+enumeration walks a table of pair seams (:func:`pair_masks`) and indexes
+no chunk.  Composition and
 enumeration build a chunk, by the one trusted constructor, only where they
 return one; :class:`Chunk` built directly validates the whole list with
 :func:`check_chunk`, the from-scratch reference.  A validator reads a datum
@@ -94,18 +95,19 @@ class ModelError(ValueError):
 # Core data
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Input:
     """An atom-labelled key.  A blocked-channel query builds one per probe
-    at an unspent output, so the constructor fills the fields directly, not
-    through the frozen ``__setattr__``; the value is the frozen dataclass's."""
+    at an unspent output, so the constructor fills the slots through their
+    descriptors, not through the frozen ``__setattr__``; the value is the
+    frozen dataclass's."""
 
     position: Atom
     key: Any
 
     def __init__(self, position: Atom, key: Any):
-        fields = self.__dict__
-        fields["position"], fields["key"] = position, key
+        _set_input_position(self, position)
+        _set_input_key(self, key)
 
     def rename(self, perm: Permutation) -> "Input":
         return Input(perm(self.position), act_opaque(perm, self.key))
@@ -114,11 +116,18 @@ class Input:
         return (self.position, value_label(self.key))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Output:
+    """An atom-labelled datum guarded by a validator; built like :class:`Input`."""
+
     position: Atom
     datum: Any
     validator: Script
+
+    def __init__(self, position: Atom, datum: Any, validator: Script):
+        _set_output_position(self, position)
+        _set_output_datum(self, datum)
+        _set_output_validator(self, validator)
 
     def rename(self, perm: Permutation) -> "Output":
         return Output(
@@ -129,6 +138,12 @@ class Output:
 
     def sort_key(self) -> tuple:
         return (self.position, value_label(self.datum), script_label(self.validator))
+
+
+# The slot descriptors' setters, which a frozen slotted dataclass still has.
+_set_input_position, _set_input_key = Input.position.__set__, Input.key.__set__
+_set_output_position = Output.position.__set__
+_set_output_datum, _set_output_validator = Output.datum.__set__, Output.validator.__set__
 
 
 _position = attrgetter("position")
@@ -630,37 +645,27 @@ def _seam(x: _Index, y: _Index) -> Optional[set[Atom]]:
     return spends
 
 
-def _join(x: _Index, y: _Index) -> Optional[_Index]:
-    """The index of ``x·y``, or None if ``x·y`` is not a chunk: the seam
-    check (:func:`_seam`), then a merge that spends the seam's positions.
-
-    Only a caller that returns the chunk or reads its ledger needs the
-    merge; a verdict that asks whether ``x·y`` is a chunk calls
-    :func:`_seam` alone.
-    """
-    spends = _seam(x, y)
-    if spends is None:
-        return None
-    outs = dict(x.outs)
-    ins = {**x.ins, **y.ins}
-    for p in spends:
-        del outs[p]
-        del ins[p]
-    outs.update(y.outs)
-    return _Index(outs, ins, x.stx.union(y.stx, spends))
-
-
 def compose(x: ChunkOrFail, y: ChunkOrFail) -> ChunkOrFail:
     """The concatenation if it is a chunk, else FAIL; FAIL is absorbing.
 
-    Only the seam is checked, by joining the operands' indices
-    (:func:`_join`); the result is built by the trusted constructor and
-    carries the joined index, for later compositions and ledger reads.
+    Only the seam is checked, on the operands' indices (:func:`_seam`); the
+    result is built by the trusted constructor and carries their merge,
+    which spends the seam's positions, for later compositions and ledger
+    reads.
     """
     if x is FAIL or y is FAIL:
         return FAIL
-    index = _join(_index_of(x), _index_of(y))
-    return FAIL if index is None else Chunk._trusted(x.txs + y.txs, index)
+    ix, iy = _index_of(x), _index_of(y)
+    spends = _seam(ix, iy)
+    if spends is None:
+        return FAIL
+    outs = dict(ix.outs)
+    ins = {**ix.ins, **iy.ins}
+    for p in spends:
+        del outs[p]
+        del ins[p]
+    outs.update(iy.outs)
+    return Chunk._trusted(x.txs + y.txs, _Index(outs, ins, ix.stx.union(iy.stx, spends)))
 
 
 def composable(x: ChunkOrFail, y: ChunkOrFail) -> bool:
@@ -1047,27 +1052,28 @@ def check_church_rosser(y: Chunk, x: Chunk, x2: Chunk) -> ChurchRosserReport:
     the unspent inputs unchanged (``utxi(y·x2) == utxi(y·x·x2)``).  Under
     them, ``x`` and ``x2`` must commute and ``y·x2·x`` must be a chunk; a
     premise-satisfying triple violating either conclusion indicates an
-    implementation bug.  The premises read the ledgers of ``y·x·x2`` and
-    ``y·x2``, so those are merged; the conclusions only check seams.
+    implementation bug.
+
+    Validity is local, so everything is decided by seams on the three
+    operands' own indices, and nothing is merged.  ``y·x·x2`` is a chunk
+    exactly when the seams ``y·x``, ``y·x2`` and ``x·x2`` hold.  Its input
+    positions are then distinct, so its unspent inputs exceed those of
+    ``y·x2`` by the inputs of ``x`` that ``y`` leaves unspent and the inputs
+    of ``x2`` that ``x`` spends: the second premise holds exactly when
+    neither set has a member.  Under both premises ``x·x2`` is a chunk, so
+    the two conclusions fail together, exactly when the seam ``x2·x`` fails.
     """
     iy, ix, ix2 = _index_of(y), _index_of(x), _index_of(x2)
-    yx = _join(iy, ix)
-    full = None if yx is None else _join(yx, ix2)
-    if full is None:
+    if _seam(iy, ix) is None or _seam(iy, ix2) is None or _seam(ix, ix2) is None:
         return ChurchRosserReport(CR_PREMISES_FAILED, "y·x·x2 is not a chunk")
-    # y·x2 is a sublist of the chunk y·x·x2, so by locality it is a chunk.
-    yx2 = _join(iy, ix2)
-    if yx2.ins.keys() != full.ins.keys():
+    if not (ix.ins.keys() <= iy.outs.keys() and ix2.ins.keys().isdisjoint(ix.outs)):
         return ChurchRosserReport(
             CR_PREMISES_FAILED, "utxi(y·x2) differs from utxi(y·x·x2)"
         )
-    problems = []
-    if (_seam(ix, ix2) is None) != (_seam(ix2, ix) is None):
-        problems.append("x and x2 do not commute")
-    if _seam(yx2, ix) is None:
-        problems.append("y·x2·x is not a chunk")
-    if problems:
-        return ChurchRosserReport(CR_COUNTEREXAMPLE, "; ".join(problems))
+    if _seam(ix2, ix) is None:
+        return ChurchRosserReport(
+            CR_COUNTEREXAMPLE, "x and x2 do not commute; y·x2·x is not a chunk"
+        )
     return ChurchRosserReport(CR_VERIFIED)
 
 

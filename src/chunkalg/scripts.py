@@ -6,6 +6,9 @@ script.  Scripts are compared by plain dataclass equality, so
 extensionally equal but structurally distinct scripts (``And(a, b)`` and
 ``And(b, a)``, or ``Not(Not(a))`` and ``a``) count as distinct validators;
 that refinement is deliberate and keeps validator identity decidable.
+Every node but ``AcsCompose`` keeps its fields in slots, with no
+per-instance dict, and the field-free ``AcceptAll`` and ``RejectAll`` are
+interned.
 Each node's ``rename`` says where its atoms are, and its support is read
 off that (:func:`chunkalg.atoms.support`): ``input_position_in`` mentions
 its positions, a key or datum its atoms (strings there are opaque, those
@@ -26,19 +29,36 @@ from typing import Any, Union
 from .atoms import Atom, Atomless, act_opaque, value_label
 
 
-@dataclass(frozen=True)
-class AcceptAll(Atomless):
+class _Interned(Atomless):
+    """A script node with no fields: one object per class, as the failure
+    top is interned, so every copy, pickle and renaming is that object."""
+
+    __slots__ = ()
+    _interned = {}
+
+    def __new__(cls):
+        node = cls._interned.get(cls)
+        if node is None:
+            node = cls._interned[cls] = object.__new__(cls)
+        return node
+
+    def __reduce__(self):
+        return (type(self), ())
+
+
+@dataclass(frozen=True, slots=True)
+class AcceptAll(_Interned):
     def evaluate(self, datum: Any, ptx: "PointedTransaction") -> bool:  # noqa: F821
         return True
 
 
-@dataclass(frozen=True)
-class RejectAll(Atomless):
+@dataclass(frozen=True, slots=True)
+class RejectAll(_Interned):
     def evaluate(self, datum, ptx) -> bool:
         return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyEquals:
     """Accept exactly the inputs whose key equals ``key``."""
 
@@ -51,7 +71,7 @@ class KeyEquals:
         return KeyEquals(act_opaque(perm, self.key))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatumEquals:
     """Accept only when the local state datum equals ``datum``."""
 
@@ -64,7 +84,7 @@ class DatumEquals:
         return DatumEquals(act_opaque(perm, self.datum))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InputPositionIn:
     """Accept inputs located at one of the given positions."""
 
@@ -77,7 +97,7 @@ class InputPositionIn:
         return InputPositionIn(frozenset(perm(a) for a in self.positions))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpendsAtMostNInputs(Atomless):
     """Accept only spenders with at most ``limit`` inputs.
 
@@ -91,7 +111,7 @@ class SpendsAtMostNInputs(Atomless):
         return len(ptx.transaction.inputs) <= self.limit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     body: "Script"
 
@@ -102,7 +122,7 @@ class Not:
         return Not(self.body.rename(perm))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     left: "Script"
     right: "Script"
@@ -114,7 +134,7 @@ class And:
         return And(self.left.rename(perm), self.right.rename(perm))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     left: "Script"
     right: "Script"

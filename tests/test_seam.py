@@ -2,7 +2,7 @@
 
 ``compose``, ``composable`` and ``check_church_rosser`` check only the seam
 between two chunks' position indices, and merge the indices only where a
-chunk is returned or a ledger read; ``enumerate_chunks`` checks the seam of
+chunk is returned; ``enumerate_chunks`` checks the seam of
 each ordered pair of model transactions once and walks that table; the
 blocked-channel analysis asks one validator per renamed probe, and builds a
 probe's transaction only when that validator reads it.  They are compared
@@ -306,25 +306,31 @@ def test_the_unit_carries_its_index(pair_txs, monkeypatch):
 def test_enumeration_and_church_rosser_index_each_operand_once(backbone_model, monkeypatch):
     """Enumeration builds one index per model transaction, checks the n²
     seams of their ordered pairs once and merges none; a Church–Rosser
-    check indexes each operand once, runs all its compositions on indices,
-    and merges only the three whose ledgers it reads or extends (y·x,
-    y·x·x2 and y·x2): its other three compositions only check their
-    seams."""
+    check indexes each operand once and decides from four seams on those
+    indices (y·x, y·x2, x·x2 and x2·x), merging none.  Every index is
+    an ``_Index`` built by ``_build_index`` or by a merge, so counting the
+    ``_Index`` values built counts the merges."""
     calls = _count_calls(monkeypatch, "_build_index")
-    # A merge's own seam check goes through ieutxo._seam too.
-    joins, seams = _count_calls(monkeypatch, "_join"), _count_calls(monkeypatch, "_seam")
+    indices, seams = _count_calls(monkeypatch, "_Index"), _count_calls(monkeypatch, "_seam")
     txs = backbone_model.transactions
     chunks = list(enumerate_chunks(backbone_model))
     assert len(chunks) > len(txs)
     assert calls == [((tx,),) for tx in txs]
-    assert (len(joins), len(seams)) == (0, len(txs) ** 2)
+    assert (len(indices), len(seams)) == (len(txs), len(txs) ** 2)
     tx1, tx2, tx3, _ = txs
-    for counted in (calls, joins, seams):
+    for counted in (calls, indices, seams):
         counted.clear()
     y, x, x2 = Chunk((tx1,)), Chunk((tx2,)), Chunk((tx3,))
     assert check_church_rosser(y, x, x2).status == CR_VERIFIED
     assert calls == [(y.txs,), (x.txs,), (x2.txs,)]
-    assert (len(joins), len(seams)) == (3, 6)
+    assert (len(indices), len(seams)) == (3, 4)
+    (iy, ix), (_, ix2) = seams[0], seams[1]
+    assert seams == [(iy, ix), (iy, ix2), (ix, ix2), (ix2, ix)]
+    # A composition is the one merge: its index is the third built here.
+    for counted in (calls, indices, seams):
+        counted.clear()
+    assert compose(y, x) is not FAIL
+    assert (len(calls), len(indices), len(seams)) == (2, 3, 1)
 
 
 # Atom pool of the probe differential: "z1"/"z2" are the first names
