@@ -23,6 +23,11 @@ Three instances ship:
   its carrier is enumerated, two carrier chunks compose by the model's pair
   table, which returns the carrier's own chunk; every other composition
   goes through :func:`~chunkalg.ieutxo.compose`.
+
+Observational equivalence (:func:`obs_equiv_probe`) needs no probe where
+two elements' behaviour keys are equal (:meth:`AcsInstance.behaviour_key`):
+the element itself, or a chunk's set of transactions, which locality makes
+a key.
 """
 
 from __future__ import annotations
@@ -76,6 +81,17 @@ class AcsInstance:
 
     def is_bot(self, x: Any) -> bool:
         return x == self.bot
+
+    def behaviour_key(self, x: Any) -> Any:
+        """A key that decides observational equivalence where it is equal.
+
+        Contract: two elements with equal keys are equivalent under every
+        probe, each composing below the top with exactly the elements the
+        other does, on either side.  The key is the element itself, since
+        ``mcompose`` is a function of its arguments; a subclass whose
+        ``mcompose`` is not must override this.
+        """
+        return x
 
     # -- atomicity
     def is_atomic(self, x: Any) -> bool:
@@ -148,11 +164,18 @@ def obs_equiv_probe(
 ) -> bool:
     """Probe-based observational equivalence.
 
-    Left- and right-behaviour membership must agree on every probe.  Exact
+    Two elements with equal :meth:`~AcsInstance.behaviour_key` are
+    equivalent under every probe, so equal keys are decided exactly, with
+    no probe: for chunks the key is the set of transactions, and by
+    locality ``p·x`` is a chunk exactly when its sublists of length at most
+    two are, which are the same for every chunk over that set.  Otherwise
+    left- and right-behaviour membership must agree on every probe.  Exact
     when the probes cover the reachable carrier; otherwise a sound
     approximation (it can only conflate, never separate, equivalent
     elements).
     """
+    if inst.behaviour_key(x) == inst.behaviour_key(y):
+        return True
     for p in probes:
         if in_leftB(p, x, inst) != in_leftB(p, y, inst):
             return False
@@ -446,6 +469,16 @@ class ChunkAcs(AcsInstance):
         if my[0] & ~mx[1]:  # some transaction of y may not follow x
             return FAIL
         return self._chunk_of[x.txs + y.txs]
+
+    def behaviour_key(self, x):
+        """A chunk's set of transactions; ``FAIL`` is its own key.
+
+        A list is a chunk exactly when each of its sublists of length at
+        most two is (locality), so ``p·x`` is a chunk exactly when ``p·y``
+        is, and ``x·p`` when ``y·p``, for any chunks ``x`` and ``y`` over the
+        same transactions, on the carrier or off it.
+        """
+        return x if x is FAIL else frozenset(x.txs)
 
     def is_atomic(self, x) -> bool:
         return isinstance(x, Chunk) and len(x) == 1

@@ -20,7 +20,10 @@ keeps each sample pair's product by index pair in a memo that lives for one
 call, so its pair, triple and locality loops compose a pair once between
 them.  This assumes that ``mcompose``, ``leq``, ``factor``, the orientation
 oracles and arrows are functions of their arguments, as every shipped
-instance's are.  Nothing is kept past the call.
+instance's are.  Nothing is kept past the call.  Whether ``x·y`` and
+``y·x`` commute up to observation is probed only when their behaviour keys
+differ (:func:`~chunkalg.acs.obs_equiv_probe`): equal elements, and chunks
+over the same transactions, are equivalent without a probe.
 
 Well-foundedness of the order is checked as antisymmetry plus acyclicity of
 the strict order restricted to the sample; the property is not decidable

@@ -72,7 +72,7 @@ from .atoms import (
     mentions_atoms,
     value_label,
 )
-from .scripts import Script, evaluate_script, script_is_pure, script_label
+from .scripts import Script, evaluate_script, frozen_slotted, script_is_pure, script_label
 
 
 class NotAChunk(Exception):
@@ -95,7 +95,7 @@ class ModelError(ValueError):
 # Core data
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@frozen_slotted
 class Input:
     """An atom-labelled key.  A blocked-channel query builds one per probe
     at an unspent output, so the constructor fills the slots through their
@@ -116,7 +116,7 @@ class Input:
         return (self.position, value_label(self.key))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@frozen_slotted
 class Output:
     """An atom-labelled datum guarded by a validator; built like :class:`Input`."""
 

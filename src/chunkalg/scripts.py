@@ -7,8 +7,9 @@ extensionally equal but structurally distinct scripts (``And(a, b)`` and
 ``And(b, a)``, or ``Not(Not(a))`` and ``a``) count as distinct validators;
 that refinement is deliberate and keeps validator identity decidable.
 Every node but ``AcsCompose`` keeps its fields in slots, with no
-per-instance dict, and the field-free ``AcceptAll`` and ``RejectAll`` are
-interned.
+per-instance dict, and refuses every attribute set and delete with
+``FrozenInstanceError`` (:func:`frozen_slotted`); the field-free
+``AcceptAll`` and ``RejectAll`` are interned.
 Each node's ``rename`` says where its atoms are, and its support is read
 off that (:func:`chunkalg.atoms.support`): ``input_position_in`` mentions
 its positions, a key or datum its atoms (strings there are opaque, those
@@ -23,10 +24,34 @@ spending transaction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Any, Union
 
 from .atoms import Atom, Atomless, act_opaque, value_label
+
+
+def _refuse_set(self, name: str, value: Any) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def frozen_slotted(cls):
+    """``dataclass(frozen=True, slots=True)`` whose instances refuse every
+    attribute set and delete with ``FrozenInstanceError``.
+
+    The dataclass's own refusal names the class that slotting replaces, so
+    CPython 3.11 raises ``TypeError`` for a name that is no field.  An
+    ``__init__`` the class defines is kept, as ``dataclass`` keeps it.  The
+    generated ``__init__``, copies, pickles and the slot descriptors'
+    setters write through ``object.__setattr__`` or the descriptors, so
+    they are unaffected.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_delete
+    return cls
 
 
 class _Interned(Atomless):
@@ -46,19 +71,19 @@ class _Interned(Atomless):
         return (type(self), ())
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class AcceptAll(_Interned):
     def evaluate(self, datum: Any, ptx: "PointedTransaction") -> bool:  # noqa: F821
         return True
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class RejectAll(_Interned):
     def evaluate(self, datum, ptx) -> bool:
         return False
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class KeyEquals:
     """Accept exactly the inputs whose key equals ``key``."""
 
@@ -71,7 +96,7 @@ class KeyEquals:
         return KeyEquals(act_opaque(perm, self.key))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class DatumEquals:
     """Accept only when the local state datum equals ``datum``."""
 
@@ -84,7 +109,7 @@ class DatumEquals:
         return DatumEquals(act_opaque(perm, self.datum))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class InputPositionIn:
     """Accept inputs located at one of the given positions."""
 
@@ -97,7 +122,7 @@ class InputPositionIn:
         return InputPositionIn(frozenset(perm(a) for a in self.positions))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class SpendsAtMostNInputs(Atomless):
     """Accept only spenders with at most ``limit`` inputs.
 
@@ -111,7 +136,7 @@ class SpendsAtMostNInputs(Atomless):
         return len(ptx.transaction.inputs) <= self.limit
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class Not:
     body: "Script"
 
@@ -122,7 +147,7 @@ class Not:
         return Not(self.body.rename(perm))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class And:
     left: "Script"
     right: "Script"
@@ -134,7 +159,7 @@ class And:
         return And(self.left.rename(perm), self.right.rename(perm))
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_slotted
 class Or:
     left: "Script"
     right: "Script"

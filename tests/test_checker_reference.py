@@ -2,7 +2,8 @@
 
 The checkers in ``chunkalg.axioms`` read each sample's data once per call and
 compose each drawn pair once in each order.  The earlier checkers called the
-instance afresh for every pair and triple; verbatim copies of them are kept
+instance afresh for every pair and triple, and probed every pair they asked
+about commuting; verbatim copies of them, and of that probing loop, are kept
 here as the reference.  Hypothesis draws instances, samples, seeds and caps
 on both sides of ``n**k`` (so exhaustive and seeded draws both run) and
 requires the two reports to be equal.  A counting instance pins how often
@@ -28,6 +29,8 @@ from chunkalg.acs import (
     SubstAcs,
     Var,
     identity_acs_arrow,
+    in_leftB,
+    in_rightB,
     obs_equiv_probe,
     perm_acs_arrow,
 )
@@ -53,9 +56,22 @@ from test_axiom_checkers import _UnionNoDisjointness
 # once (their code verbatim, apart from the ``ref_`` names)
 
 
+def ref_obs_equiv_probe(
+    x: Any, y: Any, probes: Iterable[Any], inst: AcsInstance
+) -> bool:
+    """Probe-based observational equivalence, probing every pair: the loop
+    as it was before equal behaviour keys were decided without a probe."""
+    for p in probes:
+        if in_leftB(p, x, inst) != in_leftB(p, y, inst):
+            return False
+        if in_rightB(x, p, inst) != in_rightB(y, p, inst):
+            return False
+    return True
+
+
 def ref_commute_probe(x: Any, y: Any, probes: Iterable[Any], inst: AcsInstance) -> bool:
     """Do ``x·y`` and ``y·x`` agree up to probe-based observation?"""
-    return obs_equiv_probe(inst.mcompose(x, y), inst.mcompose(y, x), probes, inst)
+    return ref_obs_equiv_probe(inst.mcompose(x, y), inst.mcompose(y, x), probes, inst)
 
 
 def ref_monoid_axiom_check(
@@ -579,6 +595,30 @@ def test_monoid_check_reads_the_order_once_per_sample_pair():
     ref_monoid_axiom_check(fs, carrier)
     assert (new["mcompose"], fs.calls["mcompose"]) == (10_809, 28_208)
     assert (new["leq"], fs.calls["leq"]) == (4_233, 11_553)
+
+
+def test_equal_behaviour_keys_need_no_probe():
+    """Finite sets commute, so ``x·y`` and ``y·x`` are one element whenever
+    either is defined, and both are the top otherwise: with the carrier as
+    probes the orientation and freshness checkers compose each of the 17²
+    pairs once in each order and probe none, where the probing loop made
+    thousands of compositions more for the same reports."""
+    fs = counting(FiniteSetsAcs)(("a", "b", "c", "d"))
+    carrier = fs.enumerate_carrier()
+    assert obs_equiv_probe(frozenset("ab"), frozenset("ba"), carrier, fs)
+    assert obs_equiv_probe(fs.top, fs.top, carrier, fs)
+    assert fs.calls["mcompose"] == 0
+    for check, ref, counts in (
+        (oriented_axiom_check, ref_oriented_axiom_check, (578, 8_444)),
+        (partial_converse_check, ref_partial_converse_check, (578, 6_248)),
+    ):
+        fs.calls.clear()
+        new = check(fs, carrier, probes=carrier)
+        n_new = fs.calls["mcompose"]
+        fs.calls.clear()
+        old = ref(fs, carrier, probes=carrier)
+        assert (n_new, fs.calls["mcompose"]) == counts
+        assert new.to_obj() == old.to_obj()
 
 
 def test_monoid_products_keep_their_operand_order():

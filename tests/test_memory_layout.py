@@ -7,7 +7,8 @@ its dict, as transactions and chunks keep their labels and hashes, and
 ``tests/test_labels.py`` pins that.  The field-free nodes ``AcceptAll``
 and ``RejectAll`` are interned, one object per class, through every copy,
 pickle and renaming.  Slotting must leave each value as the frozen
-dataclass describes it.
+dataclass describes it, refusing every attribute set and delete with
+``FrozenInstanceError``.
 """
 
 import copy
@@ -105,11 +106,23 @@ def test_output_is_the_frozen_dataclass_value():
     for name in ("position", "datum", "validator"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(o, name, None)
-    # A name that is no field is refused too; CPython 3.11 raises TypeError
-    # there, since a slotted dataclass's __setattr__ names the class it replaced.
-    with pytest.raises((AttributeError, TypeError)):
+    # A name that is no field is refused the same way.
+    with pytest.raises(dataclasses.FrozenInstanceError):
         o.extra = 1
     assert not hasattr(o, "extra")
+
+
+@pytest.mark.parametrize("value", SLOTTED, ids=lambda v: type(v).__name__)
+def test_slotted_values_refuse_every_set_and_delete(value):
+    """Every name is refused with ``FrozenInstanceError``, on set and on
+    delete, whether it is a field or not."""
+    fields = [f.name for f in dataclasses.fields(value)]
+    for attr in fields + ["extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, attr, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, attr)
+    assert [getattr(value, f) for f in fields] == [getattr(copy.copy(value), f) for f in fields]
 
 
 def test_transactions_of_slotted_values_round_trip():
