@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .atoms import Atom, Permutation, act, value_label
@@ -333,7 +333,7 @@ class SubstAcs(AcsInstance):
     ):
         self.atoms: tuple[Atom, ...] = tuple(sorted(set(atoms)))
         if term_pool is None:
-            term_pool = [Fn("c"), Fn("f", (Var(self.atoms[0]),))]
+            term_pool = [Fn("c"), Fn("f", (Var(self.atoms[0]),))] if self.atoms else [Fn("c")]
         self.term_pool: tuple[Term, ...] = tuple(term_pool)
         self.name = "subst"
         self.bot = Subst(())
@@ -381,27 +381,16 @@ class SubstAcs(AcsInstance):
         return frozenset()
 
     def enumerate_carrier(self) -> list:
-        out = []
-        atoms = self.atoms
-        pools = [[None] + list(self.term_pool) for _ in atoms]
-
-        def build(idx: int, acc: list):
-            if idx == len(atoms):
-                out.append(Subst(tuple(acc)))
-                return
-            for choice in pools[idx]:
-                if choice is None:
-                    build(idx + 1, acc)
-                else:
-                    build(idx + 1, acc + [(atoms[idx], choice)])
-
-        build(0, [])
+        out = [
+            Subst(tuple((a, t) for a, t in zip(self.atoms, terms) if t is not None))
+            for terms in product((None,) + self.term_pool, repeat=len(self.atoms))
+        ]
         return sorted(out, key=self.label) + [self.top]
 
     def sample_elements(self, n: int, seed: int) -> list:
         rng = random.Random(seed)
         out = [self.bot, self.top]
-        while len(out) < n:
+        while self.atoms and len(out) < n:
             doms = rng.sample(self.atoms, rng.randint(1, len(self.atoms)))
             out.append(
                 Subst(tuple((a, rng.choice(self.term_pool)) for a in doms))

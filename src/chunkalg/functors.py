@@ -105,6 +105,8 @@ class GModel:
             return self.inst.top
         out = self.inst.bot
         for tx in x.txs:
+            if tx not in self.element_of:
+                raise ModelError(f"transaction not in {self.model.name}: {tx.label()}")
             out = self.inst.mcompose(out, self.element_of[tx])
         return out
 

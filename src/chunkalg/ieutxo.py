@@ -47,12 +47,12 @@ per slot, whatever the renaming: its output slot as it is (no validator
 sees its output's position), or the point ``Input(a, key)``.  The model
 keeps those slots in two tables, built with it, and a query reads them
 with no plan, fresh atom or permutation; the point's spender, the
-candidate with its positions moved, is built only when a validator reads
-it (only ``SpendsAtMostNInputs`` does).  Only a candidate with support is
-planned, its fresh atoms minted once per query since they need only avoid
-the chunk's positions and the candidate's own, and renamed by a
-permutation.  Which candidates are chunks on their own, and which are
-support-free, is found once, when the model is built, and the same facts
+candidate renamed as a planned probe would be, is built only when a
+validator reads it (only ``SpendsAtMostNInputs`` does).  Only a candidate
+with support is planned, its fresh atoms minted once per query since they
+need only avoid the chunk's positions and the candidate's own, and
+renamed by a permutation.  Which candidates are chunks on their own, and
+which are support-free, is found once, when the model is built, and the same facts
 validate the model's enumeration.
 """
 
@@ -231,9 +231,9 @@ class PointedTransaction:
     """A transaction with one distinguished input: the shape validators see.
 
     Built directly, it checks that the point is one of the transaction's
-    inputs; renaming and a probe's relocated spender (see
-    :class:`_SpendingContext`) are built that way.  A context whose point is
-    read off the transaction's own inputs (a chunk's scan in
+    inputs; renaming and a probe's spender (see :class:`_SpendingContext`)
+    are built that way.  A context whose point is read off the
+    transaction's own inputs (a chunk's scan in
     :func:`check_chunk`, a seam's spends in :func:`_seam`, the chunk's
     spender at an unspent input in :func:`_blocked`, a generated output's
     key search) is built unchecked by :meth:`_trusted`.
@@ -684,7 +684,7 @@ def compose_all(parts: Iterable[ChunkOrFail]) -> ChunkOrFail:
 def is_sublist(small: Sequence, big: Sequence) -> bool:
     """Is ``small`` obtainable from ``big`` by deleting (never rearranging) items?"""
     it = iter(big)
-    return all(any(item == other for other in it) for item in small)
+    return all(item in it for item in small)
 
 
 def chunk_leq(x: ChunkOrFail, y: ChunkOrFail) -> bool:
@@ -870,18 +870,6 @@ def is_iutxo_model(model: IeutxoModel) -> bool:
 _ProbePlan = list[tuple[Transaction, Union[Input, Output], dict]]
 
 
-def _fresh_for(cpos: tuple[Atom, ...], avoid: frozenset[Atom]) -> list[Atom]:
-    """Atoms for a candidate's other positions, outside ``avoid`` and the
-    candidate's positions ``cpos``.
-
-    Every queried atom lies in ``avoid``, so the atoms do not depend on the
-    queried atom or on the slot.  Of the ``2 * len(cpos) - 1`` atoms minted
-    outside ``avoid``, at most ``len(cpos)`` are the candidate's own, so
-    dropping those leaves enough, with no copy of ``avoid``.
-    """
-    return [a for a in fresh_atoms(2 * len(cpos) - 1, avoid) if a not in cpos]
-
-
 def _probe_plan(
     facts: tuple, avoid: frozenset[Atom], slots: Callable[[Transaction], tuple]
 ) -> _ProbePlan:
@@ -891,39 +879,29 @@ def _probe_plan(
     and then slot position order.
 
     Made once per call, not once per probe: the other positions go to
-    atoms fresh for ``avoid`` (:func:`_fresh_for`).  Blocked-channel
+    atoms outside ``avoid`` and the candidate's positions.  Blocked-channel
     queries plan only the candidates with support; the support-free ones
     are read from the model's slot tables (see :func:`_blocked`).
     """
     plan = []
     for cand, cpos, _ in facts:
-        fresh = _fresh_for(cpos, avoid)
+        fresh = fresh_atoms(len(cpos) - 1, avoid.union(cpos))
         for slot in sorted(slots(cand), key=_position):
             others = [p for p in cpos if p != slot.position]
             plan.append((cand, slot, dict(zip(others, fresh))))
     return plan
 
 
-def _relocated(moves: dict, tx: Transaction) -> Transaction:
-    """``tx`` with each position ``p`` moved to ``moves[p]`` and nothing
-    else changed: what every permutation extending ``moves`` makes of a
-    transaction whose keys, datums and validators mention no atom."""
-    return Transaction(
-        [Input(moves[i.position], i.key) for i in tx.inputs],
-        [Output(moves[o.position], o.datum, o.validator) for o in tx.outputs],
-    )
-
-
 def _spender(
     cand: Transaction, cpos: tuple[Atom, ...], slot: Input, a: Atom, ix: _Index
 ) -> Transaction:
-    """The support-free candidate ``cand`` with its input ``slot`` moved to
-    ``a`` and its other positions to atoms fresh for the probed chunk's
-    index ``ix``: a probe's spending transaction, which only a validator
+    """The support-free candidate ``cand`` renamed by the permutation that a
+    planned probe of its input ``slot`` at ``a``, on the chunk indexed
+    ``ix``, uses: a probe's spending transaction, which only a validator
     that reads it builds (see :class:`_SpendingContext`)."""
-    moves = dict(zip([p for p in cpos if p != slot.position], _fresh_for(cpos, ix.positions())))
-    moves[slot.position] = a
-    return _relocated(moves, cand)
+    others = [p for p in cpos if p != slot.position]
+    moves = dict(zip(others, fresh_atoms(len(others), ix.positions().union(cpos))))
+    return cand.rename(Permutation.extending({**moves, slot.position: a}))
 
 
 def _renamed_probes(
@@ -959,8 +937,8 @@ def _blocked(ch: Chunk, model: IeutxoModel, inputs: bool) -> frozenset[Atom]:
     with no plan, fresh atom or permutation.  At an unspent input the
     candidate's output slot is evaluated as it is (no validator sees its
     own output's position); at an unspent output the point is
-    ``Input(a, key)``, and the spender is the candidate relocated
-    (:func:`_spender`).  Only candidates with support are planned and
+    ``Input(a, key)``, and the spender is the candidate renamed as its
+    probe (:func:`_spender`).  Only candidates with support are planned and
     renamed (:func:`_probe_plan`, :func:`_renamed_probes`), after the
     tables; the verdict does not depend on the order.
     """

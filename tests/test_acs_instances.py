@@ -92,6 +92,17 @@ def test_subst_composition_merges_like_the_constructor():
         assert inst.label(got) == inst.label(want) and hash(got) == hash(want)
 
 
+def test_subst_without_atoms_is_bot_and_top():
+    """With no atoms the default pool is the constant alone, and the
+    carrier is the unit and the top, as it is for finite sets over none."""
+    inst = SubstAcs(())
+    assert inst.term_pool == (Fn("c"),)
+    assert inst.enumerate_carrier() == [inst.bot, inst.top]
+    assert len(FiniteSetsAcs(()).enumerate_carrier()) == 2
+    assert inst.atomic_elements() == []
+    assert inst.sample_elements(5, 0) == [inst.bot, inst.top]
+
+
 def test_subst_order_is_submap(su):
     sa = Subst((("a", Fn("c")),))
     sa2 = Subst((("a", Var("a")),))

@@ -1,5 +1,7 @@
 """Chunk validity, the checker's diagnostics, and the locality oracle."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from chunkalg.ieutxo import (
     Transaction,
     VALIDATION_FAILED,
     check_chunk,
+    chunk_leq,
     compose,
     enumerate_chunks,
     input_channels,
@@ -167,6 +170,39 @@ def test_sublist():
     assert is_sublist((1, 3), (1, 2, 3, 4))
     assert not is_sublist((2, 1), (1, 2))
     assert not is_sublist((1, 1), (1, 2))
+
+
+def _sublist_reference(small, big):
+    """Some increasing choice of indices into ``big`` spells ``small``."""
+    return any(
+        [big[i] for i in idx] == list(small)
+        for idx in combinations(range(len(big)), len(small))
+    )
+
+
+_short = st.lists(st.integers(0, 2), max_size=6)
+
+
+@given(_short, _short, st.lists(st.booleans(), min_size=6, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_sublist_matches_index_subset_reference(small, big, kept):
+    """On short lists with repeated items, against every index subset; a
+    list with items deleted from ``big`` is always a sublist of it."""
+    assert is_sublist(small, big) == _sublist_reference(small, big)
+    deleted = [x for x, keep in zip(big, kept) if keep]
+    assert is_sublist(deleted, big) and _sublist_reference(deleted, big)
+
+
+@given(st.integers(0, 2**20))
+@settings(max_examples=20, deadline=None)
+def test_chunk_leq_matches_index_subset_reference(seed):
+    """The sublist order on a generated model's chunks, FAIL on top."""
+    cfg = GenConfig(seed=seed)
+    chunks = list(enumerate_chunks(gen_model(cfg, stream(cfg), n_txs=4)))
+    for x in chunks:
+        assert chunk_leq(x, FAIL) and not chunk_leq(FAIL, x)
+        for y in chunks:
+            assert chunk_leq(x, y) == _sublist_reference(x.txs, y.txs)
 
 
 def test_chunk_constructor_rejects_invalid(pair_txs):

@@ -1,5 +1,7 @@
 """The two functors, the unit and counit, and their defining equations."""
 
+import re
+
 import pytest
 
 from chunkalg.acs import (
@@ -210,6 +212,16 @@ def test_unit_refuses_foreign_transactions(backbone_model, pair_txs):
     for txs in (backbone_model.transactions[:1], gm.model.transactions[:1]):
         with pytest.raises(ModelError):
             gm.on_list(txs)
+
+
+def test_counit_refuses_foreign_transactions(backbone_model, pair_txs):
+    """A chunk holding a transaction outside the represented model is
+    refused with a ModelError that names the transaction, as the unit's
+    ``on_chunk`` refuses one outside its source."""
+    foreign = pair_txs[0]
+    for gm in (eta(backbone_model), g_object(FiniteSetsAcs(("a", "b")))):
+        with pytest.raises(ModelError, match=re.escape(foreign.label())):
+            gm.on_element(Chunk((foreign,)))
 
 
 def test_unit_arrow_needs_a_models_chunk_system():

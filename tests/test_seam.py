@@ -533,8 +533,8 @@ def _count_planning(monkeypatch):
 
 def test_point_local_probes_build_no_transaction(monkeypatch):
     """A ledger-ingest-style block, every validator point-local: no probe
-    builds a transaction, and each probe of an unspent input hands the
-    spender's validator the candidate's own output, not a relocated one.
+    builds a spender, and each probe of an unspent input hands the
+    spender's validator the candidate's own output, not a renamed one.
     The candidates are support-free, so they are read from the model's slot
     tables: nothing is planned, minted or renamed."""
     block = Chunk((
@@ -553,7 +553,7 @@ def test_point_local_probes_build_no_transaction(monkeypatch):
     assert _singleton_compose_blocked(block, LEDGER_PROBES, True) == {"c2"}
     assert _singleton_compose_blocked(block, LEDGER_PROBES, False) == {"p8"}
     planned = _count_planning(monkeypatch)
-    built = _count_calls(monkeypatch, "_relocated")
+    built = _count_calls(monkeypatch, "_spender")
     checked = _count_calls(monkeypatch, "validates")
     assert blocked_utxi(block, LEDGER_PROBES) == {"c2"}
     cand_outputs = [o for tx in LEDGER_PROBES.probe_candidates for o in tx.outputs]
@@ -564,28 +564,76 @@ def test_point_local_probes_build_no_transaction(monkeypatch):
     assert built == [] and planned == []
 
 
+def _record_spenders(monkeypatch):
+    """(arguments, spender) for every call to ``ieutxo._spender`` from here on."""
+    built = []
+    real = ieutxo._spender
+    monkeypatch.setattr(ieutxo, "_spender", lambda *args: built.append((args, real(*args))) or built[-1][1])
+    return built
+
+
+def _assert_reference_spenders(built, ch):
+    """Each built spender is the probe the reference ``_retarget`` renames
+    for its slot and queried atom."""
+    for (cand, _, slot, a, _), tx in built:
+        assert tx == _retarget(cand, slot.position, a, pos(ch.txs))
+
+
 def test_spends_at_most_n_inputs_builds_one_transaction_per_probe(monkeypatch):
     """An unspent output that limits its spender's inputs builds one
-    transaction for each probe it evaluates, holding the probe's point, and
-    mints that probe's fresh atoms then; a point-local one beside it builds
-    none.  Nothing is planned or renamed."""
+    spender for each probe it evaluates, holding the probe's point, and
+    mints that probe's fresh atoms and permutation then; a point-local one
+    beside it builds none.  Nothing is planned.  Each spender is the
+    reference's renamed probe."""
     block = Chunk((Transaction([Input("c", "k0")], [
         Output("s0", 0, SpendsAtMostNInputs(0)),
         Output("s1", 0, SpendsAtMostNInputs(1)),
         Output("t", 0, AcceptAll()),
     ]),))
     planned = _count_planning(monkeypatch)
-    built = []
-    real = ieutxo._relocated
-    monkeypatch.setattr(ieutxo, "_relocated", lambda *args: built.append(real(*args)) or built[-1])
+    built = _record_spenders(monkeypatch)
     checked = _count_calls(monkeypatch, "validates")
     # both candidates spend one input: s0 refuses both, s1 takes the first
     assert blocked_utxo(block, LEDGER_PROBES) == {"s0"}
     reading = [ctx for out, ctx in checked if isinstance(out.validator, SpendsAtMostNInputs)]
     assert len(reading) == len(built) == 3 and len(checked) == 4
-    for ctx, tx in zip(reading, built):
+    for ctx, (_, tx) in zip(reading, built):
         assert ctx.transaction is tx and ctx.point in tx.inputs
-    assert len(built) == 3 and planned == ["fresh_atoms"] * 3
+    assert planned == ["fresh_atoms", "extending"] * 3
+    _assert_reference_spenders(built, block)
+
+
+# Support-free candidates whose positions are the names fresh_atoms mints.
+MINTED_PROBES = IeutxoModel("minted-probes", (), probe_candidates=(
+    Transaction([Input("z1", "k0")], [Output("z2", 0, AcceptAll())]),
+    Transaction([Input("u1", "k0"), Input("z2", "k1")], [Output("z1", 1, RejectAll())]),
+))
+
+
+def test_spenders_with_minted_positions_match_reference(monkeypatch):
+    """A spender's fresh atoms avoid the candidate's own positions, minted
+    names among them, as the reference's do: every input slot is tried
+    against an output that refuses all spenders."""
+    block = Chunk((Transaction((), [Output("d", 0, SpendsAtMostNInputs(0))]),))
+    built = _record_spenders(monkeypatch)
+    assert blocked_utxo(block, MINTED_PROBES) == {"d"}
+    assert len(built) == 3
+    assert built[1][1] == Transaction(
+        [Input("d", "k0"), Input("z4", "k1")], [Output("z3", 1, RejectAll())]
+    )
+    _assert_reference_spenders(built, block)
+
+
+@given(probe_cases())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_built_spenders_match_reference(case):
+    """On every generated universe, each spender a validator reads is the
+    reference's renamed probe."""
+    ch, model = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        built = _record_spenders(monkeypatch)
+        blocked_utxo(ch, model)
+    _assert_reference_spenders(built, ch)
 
 
 def test_spending_context_checks_its_point():

@@ -6,7 +6,10 @@ a module-level function or class that nothing in ``src/``, ``tests/`` or
 ``perfbench/`` names outside its own definition.  A name counts as used when
 it is read as a name or an attribute, imported, or spelled inside a string
 that is not a docstring (quoted annotations, ``__all__``, dotted targets
-such as ``"FiniteSetsAcs.mcompose"``).
+such as ``"FiniteSetsAcs.mcompose"``).  Each ``:func:``, ``:class:``,
+``:meth:``, ``:data:`` and ``:mod:`` reference in a docstring of ``src/``
+must name something the package defines, so that a deletion leaves no
+dangling one.
 """
 
 import ast
@@ -107,3 +110,70 @@ def test_every_module_level_definition_is_named_elsewhere():
             ) and everywhere[node.name] == _mentions(node)[node.name]:
                 dead.append(f"{path.name}:{node.lineno} {node.name}")
     assert not dead, "named nowhere outside their own definition: " + ", ".join(dead)
+
+
+ROLE_REFERENCE = re.compile(r":(?:func|class|meth|data|mod):`~?([\w.]+)`")
+
+
+def _qualified(path: Path) -> str:
+    return "chunkalg" if path.stem == "__init__" else f"chunkalg.{path.stem}"
+
+
+def _bound(node: ast.AST) -> list:
+    """The names a module- or class-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _documented(node: ast.AST, cls=None):
+    """(docstring, enclosing class name or None) for ``node`` and every
+    definition inside it."""
+    if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        doc = ast.get_docstring(node, clean=False)
+        if doc:
+            yield doc, cls
+    for child in ast.iter_child_nodes(node):
+        yield from _documented(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+
+def test_every_docstring_reference_names_a_definition():
+    """Definitions are the package's modules, their module-level names and
+    their classes' members; a reference resolves fully qualified, against
+    its enclosing class, against its module, or through a name its module
+    imports from the package."""
+    trees = {path: _parse(path) for path in MODULES}
+    defined, imports = set(), {}
+    for path, tree in trees.items():
+        module = _qualified(path)
+        defined.add(module)
+        for node in tree.body:
+            defined.update(f"{module}.{name}" for name in _bound(node))
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    f"{module}.{node.name}.{name}" for child in node.body for name in _bound(child)
+                )
+        imports[module] = {
+            alias.asname or alias.name: f"chunkalg.{node.module}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names
+        }
+    refs, dangling = 0, []
+    for path, tree in trees.items():
+        module = _qualified(path)
+        for doc, cls in _documented(tree):
+            for target in ROLE_REFERENCE.findall(doc):
+                refs += 1
+                first, dot, rest = target.partition(".")
+                candidates = [target, f"{module}.{target}"]
+                candidates += [f"{module}.{cls}.{target}"] if cls else []
+                candidates += [imports[module][first] + dot + rest] if first in imports[module] else []
+                if not defined.intersection(candidates):
+                    dangling.append(f"{path.name}: {target}")
+    assert refs, "no docstring reference found: the pattern no longer matches"
+    assert not dangling, "docstring references to nothing defined: " + ", ".join(dangling)
