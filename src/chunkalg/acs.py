@@ -390,7 +390,7 @@ class SubstAcs(AcsInstance):
     def sample_elements(self, n: int, seed: int) -> list:
         rng = random.Random(seed)
         out = [self.bot, self.top]
-        while self.atoms and len(out) < n:
+        while self.atoms and self.term_pool and len(out) < n:
             doms = rng.sample(self.atoms, rng.randint(1, len(self.atoms)))
             out.append(
                 Subst(tuple((a, rng.choice(self.term_pool)) for a in doms))

@@ -39,21 +39,19 @@ Blocked-channel analysis probes each unspent input or output with the
 model's probe candidates (its enumeration unless it declares others),
 renamed so that one slot lands on the queried position and every other
 position is fresh.  Freshness shrinks the seam to that one position, so
-each probe comes down to one validator call.  Renaming is equivariant, and
-a permutation that fixes a value's support (the atoms its renaming reads,
-:func:`~chunkalg.atoms.support`) leaves the value unchanged.  So a
-candidate whose keys, datums and validators mention no atom has one probe
-per slot, whatever the renaming: its output slot as it is (no validator
-sees its output's position), or the point ``Input(a, key)``.  The model
-keeps those slots in two tables, built with it, and a query reads them
-with no plan, fresh atom or permutation; the point's spender, the
-candidate renamed as a planned probe would be, is built only when a
-validator reads it (only ``SpendsAtMostNInputs`` does).  Only a candidate
-with support is planned, its fresh atoms minted once per query since they
-need only avoid the chunk's positions and the candidate's own, and
-renamed by a permutation.  Which candidates are chunks on their own, and
-which are support-free, is found once, when the model is built, and the same facts
-validate the model's enumeration.
+each probe comes down to one validator call.  The model keeps one table of
+candidate slots per side, and a query renames a probe, by the one
+permutation :func:`_retarget` builds, only when it evaluates it.  Renaming
+is equivariant, and a permutation that fixes a value's support (the atoms
+its renaming reads, :func:`~chunkalg.atoms.support`) leaves the value
+unchanged.  So a candidate whose keys, datums and validators mention no
+atom has one probe per slot, whatever the renaming, and needs no
+permutation: its output slot as it is (no validator sees its output's
+position), or the point ``Input(a, key)``, whose spender is renamed only
+when a validator reads it (only ``SpendsAtMostNInputs`` does).  Which
+candidates are chunks on their own, and which are support-free, is found
+once, when the model is built, and the same facts validate the model's
+enumeration.
 """
 
 from __future__ import annotations
@@ -231,9 +229,9 @@ class PointedTransaction:
     """A transaction with one distinguished input: the shape validators see.
 
     Built directly, it checks that the point is one of the transaction's
-    inputs; renaming and a probe's spender (see :class:`_SpendingContext`)
-    are built that way.  A context whose point is read off the
-    transaction's own inputs (a chunk's scan in
+    inputs; renaming is built that way, and so is a probe's spender once a
+    validator reads it (see :class:`_SpendingContext`).  A context whose
+    point is read off the transaction's own inputs (a chunk's scan in
     :func:`check_chunk`, a seam's spends in :func:`_seam`, the chunk's
     spender at an unspent input in :func:`_blocked`, a generated output's
     key search) is built unchecked by :meth:`_trusted`.
@@ -263,16 +261,16 @@ class _SpendingContext:
     """A pointed transaction whose transaction is built on first read.
 
     Every node kind but ``SpendsAtMostNInputs`` reads only the point, so a
-    probe's spender, ``build(*args)``, is built only for a validator that
+    probe's spender, ``build()``, is built only for a validator that
     reads it; it is then checked by :class:`PointedTransaction`, and kept.
     """
 
-    def __init__(self, point: Input, build: Callable[..., Transaction], *args):
-        self.point, self._build, self._args = point, build, args
+    def __init__(self, point: Input, build: Callable[[], Transaction]):
+        self.point, self._build = point, build
 
     @cached_property
     def transaction(self) -> Transaction:
-        return PointedTransaction(self._build(*self._args), self.point).transaction
+        return PointedTransaction(self._build(), self.point).transaction
 
 
 TxList = tuple[Transaction, ...]
@@ -780,10 +778,11 @@ class IeutxoModel:
     The model is immutable: the probe candidates that are chunks on their
     own, with their positions and whether they are support-free, are found
     once here (see :func:`_probe_facts`), not on every blocked-channel
-    query.  From them it also builds the support-free candidates' slot
-    tables, which the queries read as they are (see :func:`_blocked`): the
-    output slots, and the input slots each with its candidate and
-    positions, in candidate and then position order.  Each enumerated
+    query.  From them it also builds one table per side of (candidate,
+    positions, slot, support-free), which the queries read in order (see
+    :func:`_blocked`): the output slots, which probe unspent inputs, and the
+    input slots, which probe unspent outputs, support-free candidates first
+    and then in candidate and slot position order.  Each enumerated
     transaction's facts are found once, and they also decide whether it is
     a chunk on its own.  A model with another universe is a new model
     (``dataclasses.replace``).
@@ -793,9 +792,8 @@ class IeutxoModel:
     transactions: TxList = ()
     probe_candidates: Optional[TxList] = None
     _probes: tuple = field(default=(), init=False, repr=False)
-    _free_outs: tuple = field(default=(), init=False, repr=False)
-    _free_ins: tuple = field(default=(), init=False, repr=False)
-    _with_support: tuple = field(default=(), init=False, repr=False)
+    _out_probes: tuple = field(default=(), init=False, repr=False)
+    _in_probes: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "transactions", tuple(self.transactions))
@@ -817,11 +815,13 @@ class IeutxoModel:
         object.__setattr__(self, "probe_candidates", cands)
         probes = tuple(filter(None, (facts.get(c) or _probe_facts(c) for c in cands)))
         object.__setattr__(self, "_probes", probes)
-        # A candidate's slots are in position order: its positions are distinct.
-        free = [(cand, cpos) for cand, cpos, support_free in probes if support_free]
-        object.__setattr__(self, "_free_outs", tuple(o for cand, _ in free for o in cand.outputs))
-        object.__setattr__(self, "_free_ins", tuple((c, p, i) for c, p in free for i in c.inputs))
-        object.__setattr__(self, "_with_support", tuple(f for f in probes if not f[2]))
+        # Support-free candidates first.  A candidate's slots are in
+        # position order, since its positions are distinct.
+        ordered = sorted(probes, key=lambda fact: not fact[2])
+        outs = tuple((c, p, o, free) for c, p, free in ordered for o in c.outputs)
+        ins = tuple((c, p, i, free) for c, p, free in ordered for i in c.inputs)
+        object.__setattr__(self, "_out_probes", outs)
+        object.__setattr__(self, "_in_probes", ins)
 
 
 def pair_masks(model: IeutxoModel) -> list[int]:
@@ -867,55 +867,18 @@ def is_iutxo_model(model: IeutxoModel) -> bool:
 # Blocked channels
 
 
-_ProbePlan = list[tuple[Transaction, Union[Input, Output], dict]]
-
-
-def _probe_plan(
-    facts: tuple, avoid: frozenset[Atom], slots: Callable[[Transaction], tuple]
-) -> _ProbePlan:
-    """(candidate, slot, renaming of the candidate's other positions) for
-    each candidate of the probe ``facts`` (see :func:`_probe_facts`) and
-    each of its ``slots`` (its inputs, outputs or both), in candidate order
-    and then slot position order.
-
-    Made once per call, not once per probe: the other positions go to
-    atoms outside ``avoid`` and the candidate's positions.  Blocked-channel
-    queries plan only the candidates with support; the support-free ones
-    are read from the model's slot tables (see :func:`_blocked`).
-    """
-    plan = []
-    for cand, cpos, _ in facts:
-        fresh = fresh_atoms(len(cpos) - 1, avoid.union(cpos))
-        for slot in sorted(slots(cand), key=_position):
-            others = [p for p in cpos if p != slot.position]
-            plan.append((cand, slot, dict(zip(others, fresh))))
-    return plan
-
-
-def _spender(
-    cand: Transaction, cpos: tuple[Atom, ...], slot: Input, a: Atom, ix: _Index
-) -> Transaction:
-    """The support-free candidate ``cand`` renamed by the permutation that a
-    planned probe of its input ``slot`` at ``a``, on the chunk indexed
-    ``ix``, uses: a probe's spending transaction, which only a validator
-    that reads it builds (see :class:`_SpendingContext`)."""
-    others = [p for p in cpos if p != slot.position]
-    moves = dict(zip(others, fresh_atoms(len(others), ix.positions().union(cpos))))
-    return cand.rename(Permutation.extending({**moves, slot.position: a}))
-
-
-def _renamed_probes(
-    plan: _ProbePlan, a: Atom
-) -> Iterator[tuple[Union[Input, Output], Callable[[], Transaction]]]:
-    """Each planned probe at ``a``: its slot as a validator reads it, and a
-    builder of the candidate, both renamed by the exact permutation that
-    sends the slot to ``a`` and the other positions to their fresh atoms,
-    so scripts, keys or datums that name a fresh atom or ``a`` are renamed
-    consistently with the positions.
-    """
-    for cand, slot, others in plan:
-        perm = Permutation.extending({**others, slot.position: a})
-        yield slot.rename(perm), partial(cand.rename, perm)
+def _retarget(
+    cpos: tuple[Atom, ...], slot: Atom, a: Atom, avoid: frozenset[Atom]
+) -> Permutation:
+    """The renaming of a probe candidate whose sorted positions are
+    ``cpos`` that sends ``slot`` to ``a`` and the other positions, in order,
+    to fresh atoms outside ``avoid`` and ``cpos``.  Every probe, and every
+    probe's spender, is its candidate renamed by it, so scripts, keys or
+    datums that name a fresh atom or ``a`` move with the positions."""
+    others = [p for p in cpos if p != slot]
+    moves = dict(zip(others, fresh_atoms(len(others), avoid.union(cpos))))
+    moves[slot] = a
+    return Permutation.extending(moves)
 
 
 def _blocked(ch: Chunk, model: IeutxoModel, inputs: bool) -> frozenset[Atom]:
@@ -927,41 +890,39 @@ def _blocked(ch: Chunk, model: IeutxoModel, inputs: bool) -> frozenset[Atom]:
     are fresh, outside ``ch``'s positions, so the probe meets ``ch`` at
     ``a`` alone, and by locality the concatenation is a chunk exactly when
     the output at ``a`` accepts the input at ``a``: one validator call, with
-    no index or seam check.  A probe builds its point, and builds the
+    no index or seam check.  The probes are the entries of the model's
+    table for that side, in its order; each is renamed by :func:`_retarget`
+    only when it is evaluated.  A probe builds its point, and builds the
     spender's transaction only when a validator reads it (only
     ``SpendsAtMostNInputs`` does; see :class:`_SpendingContext`).
 
     A permutation that fixes a value's support leaves the value unchanged,
     so a support-free candidate (see :func:`_probe_facts`) has one probe per
-    slot, whatever the renaming: it is read from the model's slot tables,
-    with no plan, fresh atom or permutation.  At an unspent input the
-    candidate's output slot is evaluated as it is (no validator sees its
-    own output's position); at an unspent output the point is
-    ``Input(a, key)``, and the spender is the candidate renamed as its
-    probe (:func:`_spender`).  Only candidates with support are planned and
-    renamed (:func:`_probe_plan`, :func:`_renamed_probes`), after the
-    tables; the verdict does not depend on the order.
+    slot, whatever the renaming, and needs no permutation to evaluate: at
+    an unspent input its output slot is evaluated as it is (no validator
+    sees its own output's position); at an unspent output the point is
+    ``Input(a, key)``, and only a spender that is read is renamed.
     """
     ix = _index_of(ch)
-    plan = ()
-    if model._with_support:
-        slots = attrgetter("outputs" if inputs else "inputs")
-        plan = _probe_plan(model._with_support, ix.positions(), slots)
+
+    def retarget(cpos, slot, a) -> Permutation:
+        return _retarget(cpos, slot.position, a, ix.positions())
+
+    def spending(cand, cpos, slot, support_free, a) -> _SpendingContext:
+        if support_free:
+            return _SpendingContext(Input(a, slot.key), lambda: cand.rename(retarget(cpos, slot, a)))
+        perm = retarget(cpos, slot, a)
+        return _SpendingContext(slot.rename(perm), partial(cand.rename, perm))
 
     def connects(a: Atom) -> bool:
         if inputs:
             spender = PointedTransaction._trusted(*ix.ins[a])
-            return any(validates(o, spender) for o in model._free_outs) or any(
-                validates(slot, spender) for slot, _ in _renamed_probes(plan, a)
+            return any(
+                validates(slot if free else slot.rename(retarget(cpos, slot, a)), spender)
+                for _, cpos, slot, free in model._out_probes
             )
         out = ix.outs[a]
-        return any(
-            validates(out, _SpendingContext(Input(a, i.key), _spender, cand, cpos, i, a, ix))
-            for cand, cpos, i in model._free_ins
-        ) or any(
-            validates(out, _SpendingContext(point, build))
-            for point, build in _renamed_probes(plan, a)
-        )
+        return any(validates(out, spending(*probe, a)) for probe in model._in_probes)
 
     return frozenset(a for a in (ix.ins if inputs else ix.outs) if not connects(a))
 
@@ -974,9 +935,10 @@ def blocked_utxi(ch: Chunk, model: IeutxoModel) -> frozenset[Atom]:
     Single-transaction probes suffice because validity is local, and a
     probe whose other positions are fresh meets the chunk at the queried
     input alone, so each probe costs one validator call, and builds no
-    transaction: the spender is the chunk's own (see :func:`_blocked`).  A
-    support-free candidate's output slots are read from the model's table
-    as they are; only a candidate with support is renamed.
+    transaction: the spender is the chunk's own (see :func:`_blocked`).  The
+    probes are the model's table of output slots; a support-free
+    candidate's slot is evaluated as it is, and only a candidate with
+    support is renamed (by :func:`_retarget`).
     """
     return _blocked(ch, model, inputs=True)
 
@@ -998,11 +960,11 @@ def renamed_probe_chunks(
     their own are skipped.
     """
     avoid = frozenset(atoms)
-    plan = _probe_plan(model._probes, avoid, lambda c: c.inputs + c.outputs)
     return [
-        Chunk._trusted((build(),))
+        Chunk._trusted((cand.rename(_retarget(cpos, slot, a, avoid)),))
         for a in sorted(avoid)
-        for _, build in _renamed_probes(plan, a)
+        for cand, cpos, _ in model._probes
+        for slot in cpos
     ]
 
 

@@ -103,6 +103,15 @@ def test_subst_without_atoms_is_bot_and_top():
     assert inst.sample_elements(5, 0) == [inst.bot, inst.top]
 
 
+def test_subst_without_terms_is_bot_and_top():
+    """With atoms but no terms to bind them to, the carrier is the unit and
+    the top, and so is every sample."""
+    inst = SubstAcs(("a",), term_pool=())
+    assert inst.enumerate_carrier() == [inst.bot, inst.top]
+    assert inst.atomic_elements() == []
+    assert inst.sample_elements(3, 0) == [inst.bot, inst.top]
+
+
 def test_subst_order_is_submap(su):
     sa = Subst((("a", Fn("c")),))
     sa2 = Subst((("a", Var("a")),))

@@ -214,8 +214,9 @@ def test_forced_violations_on_spent_channels():
 
 
 # Frozen copy of the per-probe renaming that blocked_utxi/blocked_utxo used
-# before they planned fresh atoms once per call; the references below keep it
-# so that they do not move with the library.
+# before the seam check (the library's ieutxo._retarget now returns the
+# permutation); the references below keep it so that they do not move with
+# the library.
 def _retarget(
     cand: Transaction, slot: Atom, target: Atom, avoid: frozenset[Atom]
 ) -> Transaction:
@@ -454,8 +455,12 @@ def probe_cases(draw):
     cands += draw(st.lists(more, max_size=2))
     cands = draw(st.permutations(cands))
     model = IeutxoModel("probes", (), probe_candidates=tuple(cands))
-    assert kind != "support-free" or not model._with_support
-    assert kind != "with support" or not (model._free_outs or model._free_ins)
+    for table in (model._out_probes, model._in_probes):
+        # Support-free candidates come first in each side's table.
+        free = [support_free for *_, support_free in table]
+        assert free == sorted(free, reverse=True)
+        assert kind != "support-free" or all(free)
+        assert kind != "with support" or not any(free)
     return Chunk(ch.txs), model
 
 
@@ -495,6 +500,23 @@ def test_probe_plan_matches_singleton_reference(case):
         assert got == _renamed_probe_chunks_reference(atoms, model)
 
 
+def test_blocked_verdicts_depend_on_the_whole_chunk():
+    """Whether an unspent input is blocked is not decided by its own
+    transaction alone: a probe's fresh atoms avoid every position of the
+    chunk, so another transaction's output can rule out the one renaming
+    that connects."""
+    cand = Transaction([Input("r", "k0")], [Output("p", 0, KeyEquals(("r",)))])
+    model = IeutxoModel("m", (cand,))
+    t1 = Transaction((), [Output("z1", 0, AcceptAll())])
+    t2 = Transaction([Input("a", ("z1",))], [])
+    whole, alone = Chunk((t1, t2)), Chunk((t2,))
+    # The only renaming that connects at a sends r to z1, where t1 outputs.
+    connecting = Chunk((cand.rename(Permutation.extending({"r": "z1", "p": "a"})),))
+    assert compose(connecting, alone) is not FAIL and compose(connecting, whole) is FAIL
+    assert blocked_utxi(whole, model) == {"a"} == _singleton_compose_blocked(whole, model, True)
+    assert blocked_utxi(alone, model) == frozenset() == _singleton_compose_blocked(alone, model, True)
+
+
 @given(probe_cases())
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_probes_check_no_chunk_after_the_model_is_built(case):
@@ -521,11 +543,12 @@ LEDGER_PROBES = IeutxoModel("ledger-probes", (
 ))
 
 
-def _count_planning(monkeypatch):
-    """Every call from here on that plans or renames a probe, or mints its
-    fresh atoms: ``_probe_plan``, ``fresh_atoms`` and ``Permutation.extending``."""
+def _count_retargets(monkeypatch):
+    """Every call from here on that retargets a probe, mints its fresh atoms
+    or builds its permutation: ``_retarget``, ``fresh_atoms`` and
+    ``Permutation.extending``."""
     calls = []
-    for owner, name in ((ieutxo, "_probe_plan"), (ieutxo, "fresh_atoms"), (Permutation, "extending")):
+    for owner, name in ((ieutxo, "_retarget"), (ieutxo, "fresh_atoms"), (Permutation, "extending")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, name=name, real=real: calls.append(name) or real(*args))
     return calls
@@ -535,8 +558,8 @@ def test_point_local_probes_build_no_transaction(monkeypatch):
     """A ledger-ingest-style block, every validator point-local: no probe
     builds a spender, and each probe of an unspent input hands the
     spender's validator the candidate's own output, not a renamed one.
-    The candidates are support-free, so they are read from the model's slot
-    tables: nothing is planned, minted or renamed."""
+    The candidates are support-free, so no probe is retargeted: nothing is
+    minted or renamed."""
     block = Chunk((
         Transaction([Input("c1", "k0"), Input("c2", "k5")],
                     [Output("p1", 0, KeyEquals("k0")), Output("p2", 1, KeyEquals("k7"))]),
@@ -552,8 +575,8 @@ def test_point_local_probes_build_no_transaction(monkeypatch):
     ))
     assert _singleton_compose_blocked(block, LEDGER_PROBES, True) == {"c2"}
     assert _singleton_compose_blocked(block, LEDGER_PROBES, False) == {"p8"}
-    planned = _count_planning(monkeypatch)
-    built = _count_calls(monkeypatch, "_spender")
+    retargeted = _count_retargets(monkeypatch)
+    built = _record_spenders(monkeypatch)
     checked = _count_calls(monkeypatch, "validates")
     assert blocked_utxi(block, LEDGER_PROBES) == {"c2"}
     cand_outputs = [o for tx in LEDGER_PROBES.probe_candidates for o in tx.outputs]
@@ -561,36 +584,52 @@ def test_point_local_probes_build_no_transaction(monkeypatch):
     checked.clear()
     assert blocked_utxo(block, LEDGER_PROBES) == {"p8"}
     assert len(checked) == 8  # p3 to p6 take the first probe, p7 the second, p8 neither
-    assert built == [] and planned == []
+    assert built == [] and retargeted == []
 
 
 def _record_spenders(monkeypatch):
-    """(arguments, spender) for every call to ``ieutxo._spender`` from here on."""
+    """(point, spender) for every spender a probe context builds from here on."""
     built = []
-    real = ieutxo._spender
-    monkeypatch.setattr(ieutxo, "_spender", lambda *args: built.append((args, real(*args))) or built[-1][1])
+    real = ieutxo._SpendingContext
+
+    def recording(point, build):
+        return real(point, lambda: built.append((point, build())) or built[-1][1])
+
+    monkeypatch.setattr(ieutxo, "_SpendingContext", recording)
     return built
 
 
-def _assert_reference_spenders(built, ch):
-    """Each built spender is the probe the reference ``_retarget`` renames
-    for its slot and queried atom."""
-    for (cand, _, slot, a, _), tx in built:
-        assert tx == _retarget(cand, slot.position, a, pos(ch.txs))
+def _reference_spenders(ch, model, a):
+    """The reference ``_retarget``'s probe of each input slot of each
+    candidate that is a chunk on its own, at the queried atom ``a``."""
+    return [
+        _retarget(cand, slot.position, a, pos(ch.txs))
+        for cand in model.probe_candidates
+        if check_chunk((cand,)).ok
+        for slot in cand.inputs
+    ]
+
+
+def _assert_reference_spenders(built, ch, model):
+    """Each built spender is a reference probe at its point's position, and
+    holds its point."""
+    for point, tx in built:
+        assert tx in _reference_spenders(ch, model, point.position)
+        assert point in tx.inputs
 
 
 def test_spends_at_most_n_inputs_builds_one_transaction_per_probe(monkeypatch):
     """An unspent output that limits its spender's inputs builds one
     spender for each probe it evaluates, holding the probe's point, and
     mints that probe's fresh atoms and permutation then; a point-local one
-    beside it builds none.  Nothing is planned.  Each spender is the
-    reference's renamed probe."""
+    beside it builds none.  Each spender is the reference's renamed probe,
+    in the order the probes are evaluated."""
     block = Chunk((Transaction([Input("c", "k0")], [
         Output("s0", 0, SpendsAtMostNInputs(0)),
         Output("s1", 0, SpendsAtMostNInputs(1)),
         Output("t", 0, AcceptAll()),
     ]),))
-    planned = _count_planning(monkeypatch)
+    retargeted = _count_retargets(monkeypatch)
     built = _record_spenders(monkeypatch)
     checked = _count_calls(monkeypatch, "validates")
     # both candidates spend one input: s0 refuses both, s1 takes the first
@@ -599,8 +638,10 @@ def test_spends_at_most_n_inputs_builds_one_transaction_per_probe(monkeypatch):
     assert len(reading) == len(built) == 3 and len(checked) == 4
     for ctx, (_, tx) in zip(reading, built):
         assert ctx.transaction is tx and ctx.point in tx.inputs
-    assert planned == ["fresh_atoms", "extending"] * 3
-    _assert_reference_spenders(built, block)
+    assert retargeted == ["_retarget", "fresh_atoms", "extending"] * 3
+    _assert_reference_spenders(built, block, LEDGER_PROBES)
+    first, second = (_reference_spenders(block, LEDGER_PROBES, a) for a in ("s0", "s1"))
+    assert [tx for _, tx in built] == first + second[:1]
 
 
 # Support-free candidates whose positions are the names fresh_atoms mints.
@@ -621,7 +662,7 @@ def test_spenders_with_minted_positions_match_reference(monkeypatch):
     assert built[1][1] == Transaction(
         [Input("d", "k0"), Input("z4", "k1")], [Output("z3", 1, RejectAll())]
     )
-    _assert_reference_spenders(built, block)
+    _assert_reference_spenders(built, block, MINTED_PROBES)
 
 
 @given(probe_cases())
@@ -633,7 +674,7 @@ def test_built_spenders_match_reference(case):
     with pytest.MonkeyPatch.context() as monkeypatch:
         built = _record_spenders(monkeypatch)
         blocked_utxo(ch, model)
-    _assert_reference_spenders(built, ch)
+    _assert_reference_spenders(built, ch, model)
 
 
 def test_spending_context_checks_its_point():

@@ -2,8 +2,9 @@
 
 Each module of ``src/chunkalg`` is parsed with ``ast``.  An import that its
 module never uses fails (``__init__.py`` re-exports on purpose), and so does
-a module-level function or class that nothing in ``src/``, ``tests/`` or
-``perfbench/`` names outside its own definition.  A name counts as used when
+a module-level function, class, constant or type alias that nothing in
+``src/``, ``tests/`` or ``perfbench/`` names outside its own definition
+(dunders such as ``__all__`` excepted).  A name counts as used when
 it is read as a name or an attribute, imported, or spelled inside a string
 that is not a docstring (quoted annotations, ``__all__``, dotted targets
 such as ``"FiniteSetsAcs.mcompose"``).  Each ``:func:``, ``:class:``,
@@ -99,16 +100,30 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
 
 
+def _bound(node: ast.AST) -> list:
+    """The names a module- or class-level statement defines, each target
+    of a tuple assignment included."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = [e for t in node.targets for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def test_every_module_level_definition_is_named_elsewhere():
     mentions = {path: _mentions(_parse(path)) for path in SEARCHED}
     everywhere = sum(mentions.values(), Counter())
     dead = []
     for path in MODULES:
         for node in _parse(path).body:
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ) and everywhere[node.name] == _mentions(node)[node.name]:
-                dead.append(f"{path.name}:{node.lineno} {node.name}")
+            dead += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in _bound(node)
+                if not name.startswith("__") and everywhere[name] == _mentions(node)[name]
+            ]
     assert not dead, "named nowhere outside their own definition: " + ", ".join(dead)
 
 
@@ -117,17 +132,6 @@ ROLE_REFERENCE = re.compile(r":(?:func|class|meth|data|mod):`~?([\w.]+)`")
 
 def _qualified(path: Path) -> str:
     return "chunkalg" if path.stem == "__init__" else f"chunkalg.{path.stem}"
-
-
-def _bound(node: ast.AST) -> list:
-    """The names a module- or class-level statement defines."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return [node.name]
-    if isinstance(node, ast.Assign):
-        return [t.id for t in node.targets if isinstance(t, ast.Name)]
-    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-        return [node.target.id]
-    return []
 
 
 def _documented(node: ast.AST, cls=None):
