@@ -101,21 +101,23 @@ def _as_chunk(txs: tuple) -> tuple[Optional[Chunk], ChunkReport]:
         return None, exc.report
 
 
+def _ledger_payload(chunk: Chunk) -> dict:
+    """The chunk's sorted ledger sets, and whether it is a blockchain."""
+    utxi, utxo, stx = map(sorted, ledger_sets(chunk))
+    return {"utxi": utxi, "utxo": utxo, "stx": stx, "is_blockchain": not utxi}
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     txs, _model = load_txlist(args.file)
     chunk, report = _as_chunk(txs)
     payload: dict = {"transactions": len(txs), "check": report.to_obj()}
     status = "ok" if report.ok else "violations"
     if report.ok:
-        unspent_in, unspent_out, spent = ledger_sets(chunk)
-        payload["utxi"] = sorted(unspent_in)
-        payload["utxo"] = sorted(unspent_out)
-        payload["stx"] = sorted(spent)
-        payload["is_blockchain"] = not unspent_in
+        payload.update(_ledger_payload(chunk))
         human = [
             f"chunk: {len(txs)} transaction(s) valid",
-            f"utxi={sorted(unspent_in)} utxo={sorted(unspent_out)} stx={sorted(spent)}",
-            f"blockchain: {not unspent_in}",
+            f"utxi={payload['utxi']} utxo={payload['utxo']} stx={payload['stx']}",
+            f"blockchain: {payload['is_blockchain']}",
         ]
     else:
         human = [f"not a chunk: {report.violation}"]
@@ -130,20 +132,14 @@ def cmd_ledger(args: argparse.Namespace) -> int:
         human = [f"not a chunk: {report.violation}"]
         _emit(args, _report("ledger", "violations", {"check": report.to_obj()}), human)
         return EXIT_VIOLATIONS
-    unspent_in, unspent_out, spent = ledger_sets(chunk)
-    payload = {
-        "utxi": sorted(unspent_in),
-        "utxo": sorted(unspent_out),
-        "stx": sorted(spent),
-        "pos": sorted(pos(chunk)),
-        "is_blockchain": not unspent_in,
-    }
+    payload = _ledger_payload(chunk)
     human = [
-        f"utxi: {sorted(unspent_in)}",
-        f"utxo: {sorted(unspent_out)}",
-        f"stx:  {sorted(spent)}",
-        f"blockchain: {not unspent_in}",
+        f"utxi: {payload['utxi']}",
+        f"utxo: {payload['utxo']}",
+        f"stx:  {payload['stx']}",
+        f"blockchain: {payload['is_blockchain']}",
     ]
+    payload["pos"] = sorted(pos(chunk))
     if args.probe_file:
         model, _ = load_model(args.probe_file)
     if model is not None:
@@ -192,21 +188,16 @@ def cmd_commute(args: argparse.Namespace) -> int:
 
 def _resolve_instance(spec: str, samples: int, seed: int) -> tuple[AcsInstance, list]:
     if spec == "finsets":
-        inst = FiniteSetsAcs(("a", "b", "c", "d"))
-        return inst, inst.enumerate_carrier()
-    if spec == "subst":
+        inst: AcsInstance = FiniteSetsAcs(("a", "b", "c", "d"))
+    elif spec == "subst":
         inst = SubstAcs(("a", "b", "c", "d"))
-        carrier = inst.enumerate_carrier()
-        if len(carrier) > samples:
-            carrier = inst.sample_elements(samples, seed)
-        return inst, carrier
-    if spec.startswith("chunks:"):
-        model, _ = load_model(spec.split(":", 1)[1])
-        inst = ChunkAcs(model)
-        return inst, inst.sample_elements(samples, seed)
-    raise ParseError(
-        f"unknown instance {spec!r}; expected finsets | subst | chunks:<model-file>"
-    )
+    elif spec.startswith("chunks:") and spec != "chunks:":
+        inst = ChunkAcs(load_model(spec.split(":", 1)[1])[0])
+    else:
+        raise ParseError(
+            f"unknown instance {spec!r}; expected finsets | subst | chunks:<model-file>"
+        )
+    return inst, inst.sample_elements(samples, seed)
 
 
 def cmd_acs_check(args: argparse.Namespace) -> int:

@@ -26,8 +26,7 @@ from .ieutxo import (
     Output,
     PointedTransaction,
     Transaction,
-    input_channels,
-    output_channels,
+    pos,
     validates,
 )
 from .scripts import (
@@ -350,7 +349,7 @@ def gen_arrow(
     target must contain the renamed transactions.
     """
     rng = _rng(cfg, rng)
-    atoms = sorted({a for tx in source.transactions for a in (input_channels(tx) | output_channels(tx))})
+    atoms = sorted(pos(source.transactions))
     if rng.random() < 0.3:
         perm = Permutation.identity()
     else:

@@ -20,6 +20,7 @@ from chunkalg.acs import (
     perm_acs_arrow,
 )
 from chunkalg.atoms import swap, value_label
+from chunkalg.functors import g_object
 from chunkalg.ieutxo import Chunk, EMPTY_CHUNK, FAIL, check_chunk, enumerate_chunks
 
 A = frozenset("a")
@@ -110,6 +111,16 @@ def test_subst_without_terms_is_bot_and_top():
     assert inst.enumerate_carrier() == [inst.bot, inst.top]
     assert inst.atomic_elements() == []
     assert inst.sample_elements(3, 0) == [inst.bot, inst.top]
+
+
+def test_subst_pool_lists_each_term_once():
+    """A repeated pool term would list each substitution binding it twice,
+    and the represented model would hold a transaction twice."""
+    inst = SubstAcs(("a", "b"), term_pool=(Fn("c"), Var("a"), Fn("c")))
+    assert inst.term_pool == (Fn("c"), Var("a"))
+    carrier = inst.enumerate_carrier()
+    assert len(carrier) == len(set(carrier)) == 10
+    assert len(g_object(inst).model.transactions) == 4
 
 
 def test_subst_order_is_submap(su):

@@ -365,7 +365,26 @@ def test_acs_check_chunks_strict(capsys):
 
 
 def test_acs_check_unknown_instance(capsys):
-    assert main(["acs-check", "wat"]) == 2
+    """An instance spec that names no instance, or a chunk system with no
+    model file, is a usage error (exit 2), not an i/o error."""
+    for spec in ("wat", "chunks:"):
+        assert main(["acs-check", spec]) == 2, spec
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "parse error" in captured.err and "chunks:<model-file>" in captured.err
+
+
+def test_acs_check_samples_bound_every_instance(capsys):
+    """``--samples n`` checks n distinct elements of a larger carrier, and
+    the whole carrier when it is no larger than n."""
+    for spec, samples, elements in (
+        ("finsets", "3", 3),
+        ("finsets", "200", 17),
+        ("subst", "40", 40),
+        ("subst", "200", 82),
+    ):
+        _, report = run_json(capsys, "acs-check", spec, "--samples", samples)
+        assert report["payload"]["elements"] == elements, (spec, samples)
 
 
 def test_adjunction_generated(capsys):

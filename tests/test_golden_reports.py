@@ -6,6 +6,10 @@
 as ``chunkalg <argv> --json`` printed it when the set was captured.  A
 change that alters any report, law order or witness included, fails here.
 
+Each report belongs to exactly one run: two runs may not share a name,
+and a report with no run fails too, so no renamed or dropped run leaves an
+orphan behind.
+
 Every run is made twice: on ``fixtures/``, and on a copy whose model files
 omit ``probe_candidates``.  Each fixture model declares exactly its
 enumeration, which is also the universe a model without candidates gets,
@@ -55,3 +59,10 @@ def test_golden_report(run, models, fixture_dirs, capsys):
         expected = fh.read()
     assert out == expected
     assert code == run["exit"]
+
+
+def test_each_report_has_exactly_one_run():
+    names = [r["name"] for r in RUNS]
+    assert len(names) == len(set(names))
+    reports = {f[: -len(".json")] for f in os.listdir(GOLDEN) if f != "runs.json"}
+    assert reports == set(names)
