@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import islice
 from typing import Optional
 
 from . import __version__
@@ -29,13 +30,16 @@ from .axioms import (
 from .functors import check_adjunction
 from .generators import GenConfig, gen_cr_triple, gen_model, stream
 from .ieutxo import (
+    CR_COUNTEREXAMPLE,
     Chunk,
     ChunkReport,
+    IeutxoModel,
     NotAChunk,
     blocked_utxi,
     blocked_utxo,
     check_church_rosser,
     composable,
+    enumerate_chunks,
     ledger_sets,
     pos,
 )
@@ -45,6 +49,11 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_PARSE = 2
 EXIT_IO = 3
+# Most chunks a model may have where a command keeps them all (``acs-check
+# chunks:M`` and ``adjunction`` enumerate the carrier).  n pairwise
+# independent transactions make about e·n! chunks: eight (109,602) pass,
+# nine (986,410) are refused.
+MAX_CHUNKS = 200_000
 
 
 def _seed_from(args: argparse.Namespace) -> int:
@@ -186,13 +195,29 @@ def cmd_commute(args: argparse.Namespace) -> int:
     return EXIT_OK if consistent else EXIT_VIOLATIONS
 
 
+def _chunk_acs(model: IeutxoModel) -> ChunkAcs:
+    """The model's chunk system, once its chunks are counted: a model with
+    more than :data:`MAX_CHUNKS` of them, or with chunks too long to walk
+    within the recursion limit, is refused before any chunk is kept."""
+    try:
+        count = sum(1 for _ in islice(enumerate_chunks(model), MAX_CHUNKS + 1))
+    except RecursionError:
+        raise ParseError(f"model {model.name!r} has chunks too long to enumerate") from None
+    if count > MAX_CHUNKS:
+        raise ParseError(
+            f"model {model.name!r} has more than {MAX_CHUNKS} chunks, "
+            "too many to enumerate"
+        )
+    return ChunkAcs(model)
+
+
 def _resolve_instance(spec: str, samples: int, seed: int) -> tuple[AcsInstance, list]:
     if spec == "finsets":
         inst: AcsInstance = FiniteSetsAcs(("a", "b", "c", "d"))
     elif spec == "subst":
         inst = SubstAcs(("a", "b", "c", "d"))
     elif spec.startswith("chunks:") and spec != "chunks:":
-        inst = ChunkAcs(load_model(spec.split(":", 1)[1])[0])
+        inst = _chunk_acs(load_model(spec.split(":", 1)[1])[0])
     else:
         raise ParseError(
             f"unknown instance {spec!r}; expected finsets | subst | chunks:<model-file>"
@@ -236,7 +261,7 @@ def cmd_adjunction(args: argparse.Namespace) -> int:
     else:
         cfg = GenConfig(seed=seed, max_txs=4)
         model = gen_model(cfg, stream(cfg), name=f"gen{seed}")
-    inst = ChunkAcs(model)
+    inst = _chunk_acs(model)
     report = check_adjunction(
         model, inst, seed=seed, samples=args.samples, strict=args.strict
     )
@@ -278,9 +303,9 @@ def cmd_church_rosser(args: argparse.Namespace) -> int:
     for y, x, x2 in triples:
         rep = check_church_rosser(y, x, x2)
         outcomes[rep.status] = outcomes.get(rep.status, 0) + 1
-        if rep.status == "CounterexampleFound" and first_bad is None:
+        if rep.status == CR_COUNTEREXAMPLE and first_bad is None:
             first_bad = rep.to_obj()
-    ok = outcomes.get("CounterexampleFound", 0) == 0
+    ok = CR_COUNTEREXAMPLE not in outcomes
     payload = {"triples": len(triples), "outcomes": outcomes}
     if first_bad:
         payload["counterexample"] = first_bad

@@ -5,7 +5,7 @@ Model file::
     {"schema_version": 1, "name": "demo",
      "transactions": [{"name": "tx1", "inputs": [{"pos": "a", "key": "x1"}],
                        "outputs": [{"pos": "d", "datum": 1,
-                                    "validator": {"node": "accept_all"}}]}],
+                                    "validator": {...}}]}],   # omitted: accepts all
      "probe_candidates": ["tx1", ...]}        # names or inline transactions;
                                               # omitted: the transactions
 
@@ -15,15 +15,15 @@ Chunk file: either a bare JSON array of inline transactions, or::
      "model": {...} | "model_file": "relative/path.json",
      "transactions": ["tx1", {...inline...}, ...]}
 
-Keys and datums are JSON scalars, numbers finite.  Every dump is
-deterministic: sorted keys, fixed separators, atom sets sorted.
+Keys, datums and validators have the wire format of :mod:`chunkalg.scripts`.
+Every dump is deterministic: sorted keys, fixed separators, atom sets sorted.
 
 An object-form file may omit ``schema_version`` (it is then read as version
 1); any other version is refused.  ``transactions``, ``probe_candidates``,
 ``inputs`` and ``outputs`` must be arrays, a chunk-file object must list
 its ``transactions``, a transaction ``name`` must be a string, unique
 within its model, and a ``model_file`` a nonempty path without NUL.
-Atoms (positions and ``input_position_in`` entries) are nonempty strings.
+Positions are nonempty strings.
 A file that is not UTF-8 JSON, or holds an integer too long to convert, is
 refused too.  Every refusal is a :class:`ParseError`; only a file named on
 the command line that cannot be read is an ``OSError``.
@@ -37,35 +37,21 @@ before it is opened, so that no device or FIFO is read.
 from __future__ import annotations
 
 import json
-import math
 import os
 import stat
 from typing import Any, Optional
 
 from .ieutxo import IeutxoModel, Input, Output, Transaction
 from .scripts import (
-    AcceptAll,
-    And,
-    DatumEquals,
-    InputPositionIn,
-    KeyEquals,
-    Not,
-    Or,
-    RejectAll,
-    Script,
-    SpendsAtMostNInputs,
-    _scalar_obj,
+    DEFAULT_VALIDATOR,
+    ParseError,
+    scalar_from_obj,
+    scalar_to_obj,
+    script_from_obj,
     script_to_obj,
 )
 
 SCHEMA_VERSION = 1
-# Deepest validator nesting accepted: scripts are evaluated, renamed and
-# labelled recursively, so a deeper one would exhaust the stack there.
-MAX_SCRIPT_DEPTH = 100
-
-
-class ParseError(ValueError):
-    """The file does not match the documented schema."""
 
 
 def dumps(obj: Any) -> str:
@@ -73,80 +59,21 @@ def dumps(obj: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Scripts
-
-
-def script_from_obj(obj: Any, _depth: int = 1) -> Script:
-    if _depth > MAX_SCRIPT_DEPTH:
-        raise ParseError(f"validator nests deeper than {MAX_SCRIPT_DEPTH} nodes")
-    if not isinstance(obj, dict) or "node" not in obj:
-        raise ParseError(f"validator must be an object with a 'node': {obj!r}")
-    node = obj["node"]
-    deeper = _depth + 1
-    try:
-        if node == "accept_all":
-            return AcceptAll()
-        if node == "reject_all":
-            return RejectAll()
-        if node == "key_equals":
-            return KeyEquals(_scalar(obj["key"], "key"))
-        if node == "datum_equals":
-            return DatumEquals(_scalar(obj["datum"], "datum"))
-        if node == "input_position_in":
-            positions = obj["positions"]
-            if not isinstance(positions, list) or not all(
-                isinstance(p, str) and p for p in positions
-            ):
-                raise ParseError("positions must be a list of nonempty strings")
-            return InputPositionIn(frozenset(positions))
-        if node == "spends_at_most_n_inputs":
-            limit = obj["limit"]
-            if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
-                raise ParseError("limit must be a nonnegative integer")
-            return SpendsAtMostNInputs(limit)
-        if node == "not":
-            return Not(script_from_obj(obj["body"], deeper))
-        if node == "and":
-            return And(script_from_obj(obj["left"], deeper), script_from_obj(obj["right"], deeper))
-        if node == "or":
-            return Or(script_from_obj(obj["left"], deeper), script_from_obj(obj["right"], deeper))
-        if node == "acs_compose":
-            raise ParseError(
-                "acs_compose validators reference a live instance and cannot "
-                "be loaded from JSON"
-            )
-    except KeyError as exc:
-        raise ParseError(f"validator node {node!r} misses field {exc}") from None
-    raise ParseError(f"unknown validator node {node!r}")
-
-
-def _scalar(value: Any, what: str) -> Any:
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ParseError(f"{what} must be a finite number, got {value!r}")
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    raise ParseError(f"{what} must be a JSON scalar, got {type(value).__name__}")
-
-
-# ---------------------------------------------------------------------------
 # Transactions
 
 
-def tx_to_obj(tx: Transaction, name: Optional[str] = None) -> dict:
-    obj: dict = {
-        "inputs": [{"pos": i.position, "key": _scalar_obj(i.key)} for i in tx.inputs],
+def tx_to_obj(tx: Transaction) -> dict:
+    return {
+        "inputs": [{"pos": i.position, "key": scalar_to_obj(i.key)} for i in tx.inputs],
         "outputs": [
             {
                 "pos": o.position,
-                "datum": _scalar_obj(o.datum),
+                "datum": scalar_to_obj(o.datum),
                 "validator": script_to_obj(o.validator),
             }
             for o in tx.outputs
         ],
     }
-    if name is not None:
-        obj["name"] = name
-    return obj
 
 
 def _array(obj: dict, key: str) -> list:
@@ -176,7 +103,7 @@ def tx_from_obj(obj: Any) -> Transaction:
     for item in _array(obj, "inputs"):
         if not isinstance(item, dict) or not isinstance(item.get("pos"), str) or not item["pos"]:
             raise ParseError(f"bad input: {item!r}")
-        inputs.append(Input(item["pos"], _scalar(item.get("key"), "key")))
+        inputs.append(Input(item["pos"], scalar_from_obj(item.get("key"), "key")))
     outputs = []
     for item in _array(obj, "outputs"):
         if not isinstance(item, dict) or not isinstance(item.get("pos"), str) or not item["pos"]:
@@ -184,8 +111,8 @@ def tx_from_obj(obj: Any) -> Transaction:
         outputs.append(
             Output(
                 item["pos"],
-                _scalar(item.get("datum"), "datum"),
-                script_from_obj(item.get("validator", {"node": "accept_all"})),
+                scalar_from_obj(item.get("datum"), "datum"),
+                script_from_obj(item["validator"]) if "validator" in item else DEFAULT_VALIDATOR,
             )
         )
     return Transaction(inputs, outputs)
@@ -195,14 +122,11 @@ def tx_from_obj(obj: Any) -> Transaction:
 # Models
 
 
-def model_to_obj(model: IeutxoModel, names: Optional[dict] = None) -> dict:
-    names = names or {}
+def model_to_obj(model: IeutxoModel) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "name": model.name,
-        "transactions": [
-            tx_to_obj(tx, names.get(tx)) for tx in model.transactions
-        ],
+        "transactions": [tx_to_obj(tx) for tx in model.transactions],
         "probe_candidates": [tx_to_obj(tx) for tx in model.probe_candidates],
     }
 

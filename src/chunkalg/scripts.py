@@ -19,15 +19,28 @@ A script is *point-local* (UTxO-style) when its decision depends only on the
 datum and on the distinguished input: every node kind here is point-local
 except ``SpendsAtMostNInputs``, which inspects the shape of the whole
 spending transaction.
+
+The wire format of validators, keys and datums is spelled here alone:
+:func:`script_to_obj` and :func:`scalar_to_obj` write it, and
+:func:`script_from_obj` and :func:`scalar_from_obj` read it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Any, Union
 
 from .atoms import Atom, Atomless, act_opaque, value_label
+
+# Deepest validator nesting accepted: scripts are evaluated, renamed and
+# labelled recursively, so a deeper one would exhaust the stack there.
+MAX_SCRIPT_DEPTH = 100
+
+
+class ParseError(ValueError):
+    """The file does not match the documented schema."""
 
 
 def _refuse_set(self, name: str, value: Any) -> None:
@@ -259,9 +272,9 @@ def script_to_obj(script: Script) -> dict:
     if isinstance(script, RejectAll):
         return {"node": "reject_all"}
     if isinstance(script, KeyEquals):
-        return {"node": "key_equals", "key": _scalar_obj(script.key)}
+        return {"node": "key_equals", "key": scalar_to_obj(script.key)}
     if isinstance(script, DatumEquals):
-        return {"node": "datum_equals", "datum": _scalar_obj(script.datum)}
+        return {"node": "datum_equals", "datum": scalar_to_obj(script.datum)}
     if isinstance(script, InputPositionIn):
         return {"node": "input_position_in", "positions": sorted(script.positions)}
     if isinstance(script, SpendsAtMostNInputs):
@@ -277,10 +290,69 @@ def script_to_obj(script: Script) -> dict:
     raise TypeError(f"not a script: {script!r}")
 
 
-def _scalar_obj(value: Any) -> Any:
+# The validator of an output whose wire form names none.
+DEFAULT_VALIDATOR = AcceptAll()
+
+
+def script_from_obj(obj: Any, _depth: int = 1) -> Script:
+    """Inverse of :func:`script_to_obj`, but for the emit-only ``acs_compose``."""
+    if _depth > MAX_SCRIPT_DEPTH:
+        raise ParseError(f"validator nests deeper than {MAX_SCRIPT_DEPTH} nodes")
+    if not isinstance(obj, dict) or "node" not in obj:
+        raise ParseError(f"validator must be an object with a 'node': {obj!r}")
+    node = obj["node"]
+    deeper = _depth + 1
+    try:
+        if node == "accept_all":
+            return AcceptAll()
+        if node == "reject_all":
+            return RejectAll()
+        if node == "key_equals":
+            return KeyEquals(scalar_from_obj(obj["key"], "key"))
+        if node == "datum_equals":
+            return DatumEquals(scalar_from_obj(obj["datum"], "datum"))
+        if node == "input_position_in":
+            positions = obj["positions"]
+            if not isinstance(positions, list) or not all(
+                isinstance(p, str) and p for p in positions
+            ):
+                raise ParseError("positions must be a list of nonempty strings")
+            return InputPositionIn(frozenset(positions))
+        if node == "spends_at_most_n_inputs":
+            limit = obj["limit"]
+            if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
+                raise ParseError("limit must be a nonnegative integer")
+            return SpendsAtMostNInputs(limit)
+        if node == "not":
+            return Not(script_from_obj(obj["body"], deeper))
+        if node == "and":
+            return And(script_from_obj(obj["left"], deeper), script_from_obj(obj["right"], deeper))
+        if node == "or":
+            return Or(script_from_obj(obj["left"], deeper), script_from_obj(obj["right"], deeper))
+        if node == "acs_compose":
+            raise ParseError(
+                "acs_compose validators reference a live instance and cannot "
+                "be loaded from JSON"
+            )
+    except KeyError as exc:
+        raise ParseError(f"validator node {node!r} misses field {exc}") from None
+    raise ParseError(f"unknown validator node {node!r}")
+
+
+def scalar_to_obj(value: Any) -> Any:
+    """A key's or datum's wire form: a JSON scalar as is, anything else by label."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return {"label": value_label(value)}
+
+
+def scalar_from_obj(value: Any, what: str) -> Any:
+    """A key or datum read from a file: a JSON scalar, numbers finite."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParseError(f"{what} must be a finite number, got {value!r}")
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    raise ParseError(f"{what} must be a JSON scalar, got {type(value).__name__}")
 
 
 # The encoder json.dumps(..., sort_keys=True, separators=(",", ":")) builds:

@@ -1,11 +1,16 @@
 """Command surface: exit codes, report shapes, determinism, fixture behavior."""
 
 import json
+import sys
 
 import pytest
 
-from chunkalg.cli import main
-from chunkalg.jsonio import MAX_SCRIPT_DEPTH, dumps
+from chunkalg import cli
+from chunkalg.acs import ChunkAcs
+from chunkalg.cli import MAX_CHUNKS, main
+from chunkalg.ieutxo import CR_COUNTEREXAMPLE, CR_VERIFIED, ChurchRosserReport
+from chunkalg.jsonio import dumps, load_model
+from chunkalg.scripts import MAX_SCRIPT_DEPTH
 
 from conftest import fixture_path
 
@@ -429,6 +434,41 @@ def test_adjunction_defaults_missing_probe_universe(capsys, tmp_path):
     }
 
 
+def _independent_model(tmp_path, n):
+    """A model file of ``n`` one-output transactions on distinct positions,
+    so every ordered selection of them is a chunk: 986,410 for n = 9."""
+    txs = [{"outputs": [{"pos": f"p{i}", "datum": i}]} for i in range(n)]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"name": f"indep{n}", "transactions": txs}))
+    return str(path)
+
+
+def test_models_with_too_many_chunks_are_parse_errors(capsys, tmp_path):
+    """The commands that keep every chunk refuse a model with more than
+    MAX_CHUNKS of them, before keeping any, with an exit 2 that names the
+    bound; eight transactions (109,602 chunks) pass the count."""
+    model = _independent_model(tmp_path, 9)
+    for argv in (["acs-check", f"chunks:{model}"], ["adjunction", "--model", model]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"parse error: model 'indep9' has more than {MAX_CHUNKS} chunks, "
+            "too many to enumerate\n"
+        )
+    assert isinstance(cli._chunk_acs(load_model(_independent_model(tmp_path, 8))[0]), ChunkAcs)
+
+
+def test_models_with_chunks_deeper_than_the_recursion_limit_are_parse_errors(capsys, tmp_path):
+    """Both commands count chunks through one guard, so one is run here."""
+    model = _independent_model(tmp_path, sys.getrecursionlimit() + 100)
+    assert main(["acs-check", f"chunks:{model}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "chunks too long to enumerate" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_samples_must_be_positive(capsys):
     """``--samples`` parses as a positive integer: anything else is a usage
     error (exit 2) with a message, not a traceback."""
@@ -500,6 +540,24 @@ def test_church_rosser_files_premises_fail(capsys):
     # empty x2 — but utxi(y·x2) vs utxi(y·x·x2) differ... outcome counted either way
     assert code == 0
     assert sum(report["payload"]["outcomes"].values()) == 1
+
+
+def test_church_rosser_counterexample_exits_1(capsys, monkeypatch):
+    """A counterexample fails the run, and the report carries the first one."""
+    reports = iter([
+        ChurchRosserReport(CR_VERIFIED),
+        ChurchRosserReport(CR_COUNTEREXAMPLE, "first"),
+        ChurchRosserReport(CR_COUNTEREXAMPLE, "second"),
+    ])
+    monkeypatch.setattr(cli, "check_church_rosser", lambda y, x, x2: next(reports))
+    code, report = run_json(capsys, "church-rosser", "--seed", "5", "--samples", "3")
+    assert code == 1
+    assert report["status"] == "violations"
+    assert report["payload"] == {
+        "triples": 3,
+        "outcomes": {"Verified": 1, "CounterexampleFound": 2},
+        "counterexample": {"status": "CounterexampleFound", "detail": "first"},
+    }
 
 
 def test_env_seed(capsys, monkeypatch):

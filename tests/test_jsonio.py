@@ -1,7 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from chunkalg import jsonio, scripts
 from chunkalg.generators import GenConfig, gen_model, gen_txlist, stream
 from chunkalg.jsonio import (
     ParseError,
@@ -53,6 +56,27 @@ def test_script_parse_errors():
         script_from_obj({"node": "acs_compose", "element": "x"})
     with pytest.raises(ParseError):
         script_from_obj("accept_all")
+
+
+WIRE_NAMES = re.compile(
+    r"accept_all|reject_all|key_equals|datum_equals|input_position_in"
+    r"|spends_at_most_n_inputs|acs_compose|MAX_SCRIPT_DEPTH|[\"'](?:not|and|or)[\"']"
+)
+
+
+def test_scripts_alone_spells_the_validator_wire_format():
+    """jsonio reads validators through scripts and raises its ParseError, and
+    no other module of the package names a node kind or the nesting bound."""
+    assert jsonio.ParseError is scripts.ParseError
+    assert jsonio.script_from_obj is scripts.script_from_obj
+    src = Path(scripts.__file__).parent
+    spelled = {
+        path.name: WIRE_NAMES.findall(path.read_text(encoding="utf-8"))
+        for path in src.glob("*.py")
+        if path.name != "scripts.py"
+    }
+    assert not any(spelled.values()), spelled
+    assert len(set(WIRE_NAMES.findall(Path(scripts.__file__).read_text(encoding="utf-8")))) == 11
 
 
 def test_transaction_round_trip():

@@ -1,7 +1,8 @@
 """Source hygiene of the package: no stale import and no dead helper.
 
 Each module of ``src/chunkalg`` is parsed with ``ast``.  An import that its
-module never uses fails (``__init__.py`` re-exports on purpose), and so does
+module never uses fails (``__init__.py`` re-exports on purpose), so does a
+``from .module import _name`` of another module's private name, and so does
 a module-level function, class, constant or type alias that nothing in
 ``src/``, ``tests/`` or ``perfbench/`` names outside its own definition
 (dunders such as ``__all__`` excepted).  A name counts as used when
@@ -98,6 +99,21 @@ def test_every_import_is_used(path):
     read.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in read]
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_is_imported_from_another_module(path):
+    """A module's underscore names are its own (dunders such as
+    ``__version__`` excepted); an attribute read such as ``Chunk._trusted``
+    is no import and stays allowed."""
+    private = [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert not private, f"{path.name} imports private names: {', '.join(private)}"
 
 
 def _bound(node: ast.AST) -> list:
