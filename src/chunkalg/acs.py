@@ -20,9 +20,9 @@ Three instances ship:
   composed by domain-disjoint union and failing on domain overlap.
 * :class:`ChunkAcs` — the chunks of a transaction model with the FAIL top:
   the motivating instance, and the only perfectly atomic one here.  Once
-  its carrier is enumerated, two carrier chunks compose by the model's pair
-  table, which returns the carrier's own chunk; every other composition
-  goes through :func:`~chunkalg.ieutxo.compose`.
+  its carrier is enumerated, two carrier chunks compose by the masks the
+  model's chunk walk carries, and their product is the carrier's own chunk;
+  every other composition goes through :func:`~chunkalg.ieutxo.compose`.
 
 Observational equivalence (:func:`obs_equiv_probe`) needs no probe where
 two elements' behaviour keys are equal (:meth:`AcsInstance.behaviour_key`):
@@ -52,10 +52,9 @@ from .ieutxo import (
     blocked_utxo,
     chunk_leq,
     compose,
-    enumerate_chunks,
     ledger_sets,
-    pair_masks,
     pos,
+    walk_chunks,
 )
 
 
@@ -414,15 +413,15 @@ class ChunkAcs(AcsInstance):
     connect to points up, alongside the spent channels).  The instance
     keeps each chunk's split and, once enumerated, its carrier.
 
-    With the carrier the instance keeps a pair table from the one the
-    enumeration walks (:func:`~chunkalg.ieutxo.pair_masks`): each carrier
-    chunk's mask of transactions and the mask of transactions allowed after
-    each of them.  Validity is local, so two carrier chunks compose exactly
-    when the second's mask lies in the first's allowed mask, and their
-    product is the carrier's own chunk, which carries no index.  Any other
-    operand (a renamed chunk, or any composition made before the carrier is
-    enumerated) goes through :func:`~chunkalg.ieutxo.compose`.  The table
-    lives and dies with the carrier, so it never outlives the instance.
+    With the carrier the instance keeps each carrier chunk's two masks, as
+    the model's walk yields them (:func:`~chunkalg.ieutxo.walk_chunks`): its
+    transactions, and the transactions allowed after each of them.  Validity
+    is local, so two carrier chunks compose exactly when the second's mask
+    lies in the first's allowed mask, and their product is the carrier's own
+    chunk, which carries no index.  Any other operand (a renamed chunk, or
+    any composition made before the carrier is enumerated) goes through
+    :func:`~chunkalg.ieutxo.compose`.  The per-transaction pair table lives
+    on the model; the per-chunk masks live and die with the carrier.
     """
 
     perfectly_atomic = True
@@ -516,17 +515,10 @@ class ChunkAcs(AcsInstance):
         kept after the first call, since the model is immutable and one
         verdict reads the carrier several times."""
         if self._carrier is None:
-            follows = dict(zip(self.model.transactions, pair_masks(self.model)))
-            bit = {tx: 1 << k for k, tx in enumerate(follows)}
-            chunks = sorted(enumerate_chunks(self.model), key=self.label)
-            self._carrier = chunks + [FAIL]
-            for c in chunks:
-                mask, after = 0, ~0
-                for tx in c.txs:
-                    mask |= bit[tx]
-                    after &= follows[tx]
+            for c, mask, after in walk_chunks(self.model):
                 self._masks[c] = (mask, after)
                 self._chunk_of[c.txs] = c
+            self._carrier = sorted(self._masks, key=self.label) + [FAIL]
         return list(self._carrier)
 
     # The base sampler.  perfbench/spans.py wraps ``ChunkAcs.sample_elements``

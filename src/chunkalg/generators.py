@@ -345,8 +345,9 @@ def gen_arrow(
 
     Builds a consistent renaming of the source atoms, optionally dropping
     some transactions to the empty chunk.  When no ``target`` is supplied,
-    the renamed enumeration itself becomes the target model; a supplied
-    target must contain the renamed transactions.
+    the renamed enumeration itself becomes the target model, with one image
+    forced if every transaction was dropped (none for an empty source); a
+    supplied target must contain the renamed transactions.
     """
     rng = _rng(cfg, rng)
     atoms = sorted(pos(source.transactions))
@@ -373,7 +374,7 @@ def gen_arrow(
             renamed.append(image)
             table[tx] = Chunk((image,))
     if target is None:
-        if not renamed:
+        if not renamed and source.transactions:
             renamed = [source.transactions[0].rename(perm)]
             table[source.transactions[0]] = Chunk((renamed[0],))
         target = IeutxoModel(f"{source.name}-img", tuple(dict.fromkeys(renamed)))
@@ -398,6 +399,9 @@ def gen_cr_triple(
     """
     if cfg.max_atoms < 6:
         raise BoundsTooTight("confluence triples need at least six atoms")
+    if cfg.max_txs < 1:
+        # Every prefix drawn would be empty, and y must not be.
+        raise BoundsTooTight("confluence triples need at least one transaction")
     rng = _rng(cfg, rng)
     pool = _atom_pool(max(cfg.max_atoms, 18))
     y_pool, rest = pool[: len(pool) // 2], pool[len(pool) // 2 :]

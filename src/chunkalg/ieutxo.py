@@ -20,8 +20,8 @@ decides whether they compose; a merge of the two, the way a ledger applies
 a block to its UTxO map, gives the result's index.  Verdicts (composable,
 commuting, Church–Rosser, whose premises and conclusions are four seams on
 its operands' indices) check seams alone; only a returned chunk merges;
-enumeration walks a table of pair seams (:func:`pair_masks`) and indexes
-no chunk.  Composition and
+enumeration walks a table of pair seams (:func:`pair_masks`), which the
+model keeps, and indexes no chunk.  Composition and
 enumeration build a chunk, by the one trusted constructor, only where they
 return one; :class:`Chunk` built directly validates the whole list with
 :func:`check_chunk`, the from-scratch reference.  A validator reads a datum
@@ -784,8 +784,9 @@ class IeutxoModel:
     input slots, which probe unspent outputs, support-free candidates first
     and then in candidate and slot position order.  Each enumerated
     transaction's facts are found once, and they also decide whether it is
-    a chunk on its own.  A model with another universe is a new model
-    (``dataclasses.replace``).
+    a chunk on its own.  Its pair table (:func:`pair_masks`) is kept from
+    its first read, not built here: most models are never enumerated.  A
+    model with another universe is a new model (``dataclasses.replace``).
     """
 
     name: str
@@ -794,6 +795,7 @@ class IeutxoModel:
     _probes: tuple = field(default=(), init=False, repr=False)
     _out_probes: tuple = field(default=(), init=False, repr=False)
     _in_probes: tuple = field(default=(), init=False, repr=False)
+    _pairs: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "transactions", tuple(self.transactions))
@@ -824,34 +826,47 @@ class IeutxoModel:
         object.__setattr__(self, "_in_probes", ins)
 
 
-def pair_masks(model: IeutxoModel) -> list[int]:
+def pair_masks(model: IeutxoModel) -> tuple[int, ...]:
     """Bit ``j`` of entry ``i`` is set exactly when model transaction ``j``
     may follow transaction ``i``, that is, when ``(t_i, t_j)`` is a chunk:
     ``n²`` seam checks on the singleton indices, ``i = j`` included (no
-    transaction follows itself).  By locality this table fixes every chunk."""
-    singles = [_build_index((tx,)) for tx in model.transactions]
-    return [
-        sum(1 << j for j, y in enumerate(singles) if _seam(x, y) is not None)
-        for x in singles
-    ]
+    transaction follows itself).  By locality this table fixes every chunk.
+    The model is immutable, so it keeps the table from the first read."""
+    pairs = model._pairs
+    if pairs is None:
+        singles = [_build_index((tx,)) for tx in model.transactions]
+        pairs = tuple(
+            sum(1 << j for j, y in enumerate(singles) if _seam(x, y) is not None)
+            for x in singles
+        )
+        object.__setattr__(model, "_pairs", pairs)
+    return pairs
 
 
-def enumerate_chunks(model: IeutxoModel) -> Iterator[Chunk]:
-    """All chunks of the model's transactions: :data:`EMPTY_CHUNK`, then
-    depth first in transaction order.  By locality ``t`` extends a chunk
+def walk_chunks(model: IeutxoModel) -> Iterator[tuple[Chunk, int, int]]:
+    """All chunks of the model, each with its mask (bit ``j`` for transaction
+    ``j``) and the mask of transactions allowed after it: :data:`EMPTY_CHUNK`,
+    then depth first in transaction order.  By locality ``t`` extends a chunk
     exactly when it may follow each of its transactions, so the walk ANDs
     their :func:`pair_masks` entries, checks no seam and indexes no chunk."""
     follows = pair_masks(model)
 
-    def walk(prefix: TxList, allowed: int) -> Iterator[Chunk]:
+    def walk(prefix: TxList, mask: int, allowed: int) -> Iterator[tuple[Chunk, int, int]]:
         for j, tx in enumerate(model.transactions):
             if allowed >> j & 1:
                 grown = prefix + (tx,)
-                yield Chunk._trusted(grown)
-                yield from walk(grown, allowed & follows[j])
+                grown_mask, after = mask | 1 << j, allowed & follows[j]
+                yield Chunk._trusted(grown), grown_mask, after
+                yield from walk(grown, grown_mask, after)
 
-    yield EMPTY_CHUNK
-    yield from walk((), (1 << len(follows)) - 1)
+    everything = (1 << len(follows)) - 1
+    yield EMPTY_CHUNK, 0, everything
+    yield from walk((), 0, everything)
+
+
+def enumerate_chunks(model: IeutxoModel) -> Iterator[Chunk]:
+    """All chunks of the model's transactions, in :func:`walk_chunks` order."""
+    return (chunk for chunk, _, _ in walk_chunks(model))
 
 
 def is_iutxo_model(model: IeutxoModel) -> bool:

@@ -21,7 +21,7 @@ from chunkalg.acs import (
 )
 from chunkalg.atoms import swap, value_label
 from chunkalg.functors import g_object
-from chunkalg.ieutxo import Chunk, EMPTY_CHUNK, FAIL, check_chunk, enumerate_chunks
+from chunkalg.ieutxo import Chunk, EMPTY_CHUNK, FAIL, check_chunk, enumerate_chunks, walk_chunks
 
 A = frozenset("a")
 B = frozenset("b")
@@ -226,13 +226,13 @@ def test_chunkacs_keeps_its_carrier(backbone_model, monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return enumerate_chunks(*args)
+        return walk_chunks(*args)
 
     def counted_check(txs):
         checks.append(txs)
         return check_chunk(txs)
 
-    monkeypatch.setattr(acs, "enumerate_chunks", counted)
+    monkeypatch.setattr(acs, "walk_chunks", counted)
     monkeypatch.setattr(ieutxo, "check_chunk", counted_check)
     inst = ChunkAcs(backbone_model)
     first = inst.enumerate_carrier()

@@ -59,18 +59,19 @@ def test_each_represented_model_is_built_once_per_verdict(backbone_model, monkey
     system's factors and atomic elements are built unvalidated."""
     counts = {"g_object": 0, "_blocked": 0, "enumerate_chunks": 0, "__post_init__": 0}
 
-    def count_calls(module, name):
+    def count_calls(module, name, key=None):
         original = getattr(module, name)
 
         def counted(*args, **kwargs):
-            counts[name] += 1
+            counts[key or name] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
 
     count_calls(functors, "g_object")
     count_calls(ieutxo, "_blocked")
-    count_calls(acs, "enumerate_chunks")
+    # A chunk system walks its carrier with the masks; functors enumerates.
+    count_calls(acs, "walk_chunks", "enumerate_chunks")
     count_calls(functors, "enumerate_chunks")
     count_calls(ieutxo.Chunk, "__post_init__")
     ident = identity_arrow(backbone_model)

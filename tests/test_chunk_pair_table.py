@@ -1,20 +1,25 @@
 """A model's chunk system composes its carrier chunks from a pair table.
 
-``ChunkAcs`` reads the table from ``pair_masks``, the table the enumeration
-walks, when it first enumerates its carrier.  For two carrier chunks
-``mcompose`` must answer what ``compose`` answers, and a defined answer must
-be the carrier's own chunk, which carries no index; every other operand goes
-through ``compose``.  ``compose``, ``check_chunk`` and
-``pairwise_chunk_oracle`` are the references.
+The model keeps its pair table (``pair_masks``) from the first read, so it
+checks its ``n²`` seams once.  ``walk_chunks`` walks the table and yields
+each chunk with its mask and its allowed-after mask, and ``ChunkAcs`` keeps
+those masks for its carrier chunks when it first enumerates its carrier.
+For two carrier chunks ``mcompose`` must answer what ``compose`` answers,
+and a defined answer must be the carrier's own chunk, which carries no
+index; every other operand goes through ``compose``.  ``compose``,
+``check_chunk`` and ``pairwise_chunk_oracle`` are the references.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chunkalg import acs
+from chunkalg import acs, ieutxo
 from chunkalg.acs import ChunkAcs
 from chunkalg.atoms import Permutation, fresh_atoms
+from chunkalg.functors import eta
 from chunkalg.generators import GenConfig, gen_model, stream
 from chunkalg.ieutxo import (
     EMPTY_CHUNK,
@@ -152,3 +157,69 @@ def test_the_table_is_read_in_operand_order_over_every_transaction(backbone_mode
     assert inst.mcompose(x, s2) is FAIL is compose(x, s2)
     assert inst.mcompose(s1, inst.mcompose(s2, s4)).txs == s1.txs + s2.txs + s4.txs
     assert inst.mcompose(inst.mcompose(s1, s3), s4) in carrier
+
+
+def _folded_masks(model: IeutxoModel) -> dict:
+    """Each chunk's (mask, allowed-after) pair, folded from its transactions
+    as ``ChunkAcs`` once did, over a pair table read off ``check_chunk``."""
+    txs = model.transactions
+    follows = {
+        t: sum(1 << j for j, u in enumerate(txs) if check_chunk((t, u)).ok) for t in txs
+    }
+    bit = {tx: 1 << k for k, tx in enumerate(txs)}
+    out = {}
+    for c in enumerate_chunks(model):
+        mask, after = 0, ~0
+        for tx in c.txs:
+            mask |= bit[tx]
+            after &= follows[tx]
+        out[c.txs] = (mask, after)
+    return out
+
+
+@given(st.integers(0, 2**20), st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_carrier_masks_are_the_fold_of_each_chunk(seed, n_txs):
+    """The walk's masks are the fold of each carrier chunk's transactions,
+    on a generated model and on its represented model.  The fold starts the
+    allowed mask from ``~0`` and the walk from the ``n`` low bits, so the
+    empty chunk's is compared below bit ``n`` only."""
+    model = _model(seed, n_txs) if n_txs else IeutxoModel("empty", ())
+    for m in (model, eta(model).model):
+        inst = ChunkAcs(m)
+        carrier = inst.enumerate_carrier()[:-1]
+        folded = _folded_masks(m)
+        assert len(carrier) == len(folded) and {c.txs for c in carrier} == set(folded)
+        low = (1 << len(m.transactions)) - 1
+        for c in carrier:
+            mask, after = inst._masks[c]
+            want_mask, want_after = folded[c.txs]
+            if c is EMPTY_CHUNK:
+                after, want_after = after & low, want_after & low
+            assert (mask, after) == (want_mask, want_after)
+        assert inst._masks[EMPTY_CHUNK] == (0, low)
+
+
+def test_a_model_checks_its_pair_seams_once(backbone_model, monkeypatch):
+    """The first enumeration checks the ``n²`` pair seams; the model keeps
+    the table, so a fresh chunk system enumerating its carrier checks none.
+    A replaced model is a new model and builds its own table."""
+    seams = []
+    seam = ieutxo._seam
+
+    def counted(x, y):
+        seams.append((x, y))
+        return seam(x, y)
+
+    monkeypatch.setattr(ieutxo, "_seam", counted)
+    model = replace(backbone_model)
+    n = len(model.transactions)
+    chunks = list(enumerate_chunks(model))
+    assert len(seams) == n * n
+    carrier = ChunkAcs(model).enumerate_carrier()
+    assert len(seams) == n * n
+    assert set(carrier[:-1]) == set(chunks)
+    assert pair_masks(model) is pair_masks(model)
+    again = replace(model)
+    assert pair_masks(again) == pair_masks(model)
+    assert len(seams) == 2 * n * n

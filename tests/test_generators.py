@@ -16,6 +16,7 @@ from chunkalg.generators import (
 )
 from chunkalg.ieutxo import (
     VIOLATION_KINDS,
+    IeutxoModel,
     arrow_check,
     check_chunk,
     is_blockchain,
@@ -86,6 +87,15 @@ def test_bounds_errors():
         gen_cr_triple(GenConfig(seed=1, max_atoms=5))
 
 
+def test_cr_triple_refuses_a_config_that_allows_no_transaction():
+    """With no transaction allowed every prefix drawn is empty, and the
+    prefix must not be, so the draw would never end."""
+    with pytest.raises(BoundsTooTight, match="at least one transaction"):
+        gen_cr_triple(GenConfig(seed=1, max_txs=0))
+    y, _, _ = gen_cr_triple(GenConfig(seed=1, max_txs=1))
+    assert len(y) == 1
+
+
 def test_gen_model_deterministic_and_probed():
     cfg = GenConfig(seed=77)
     m1 = gen_model(cfg, stream(cfg), name="m")
@@ -114,6 +124,21 @@ def test_gen_arrow_lawful_and_target_checked():
         # an unrelated target model cannot absorb a fresh renaming
         while True:
             gen_arrow(cfg, src, target=other, rng=rng)
+
+
+def test_gen_arrow_out_of_an_empty_model_is_the_empty_arrow():
+    """No transaction to rename or drop: the arrow's table is empty, onto an
+    empty image model or onto the target supplied."""
+    empty = IeutxoModel("e", ())
+    target = gen_model(GenConfig(seed=80), name="t", n_txs=2)
+    for seed in range(10):
+        cfg = GenConfig(seed=seed)
+        f = gen_arrow(cfg, empty)
+        assert f.table == {} and f.target.transactions == ()
+        assert arrow_check(f)
+        g = gen_arrow(cfg, empty, target=target)
+        assert g.table == {} and g.target is target
+        assert arrow_check(g)
 
 
 def test_gen_perm_is_permutation():

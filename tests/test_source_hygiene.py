@@ -2,7 +2,8 @@
 
 Each module of ``src/chunkalg`` is parsed with ``ast``.  An import that its
 module never uses fails (``__init__.py`` re-exports on purpose), so does a
-``from .module import _name`` of another module's private name, and so does
+``from .module import _name`` of another module's private name, so does a
+``pair_masks`` call or a bit shift outside ``ieutxo.py``, and so does
 a module-level function, class, constant or type alias that nothing in
 ``src/``, ``tests/`` or ``perfbench/`` names outside its own definition
 (dunders such as ``__all__`` excepted).  A name counts as used when
@@ -114,6 +115,25 @@ def test_no_private_name_is_imported_from_another_module(path):
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert not private, f"{path.name} imports private names: {', '.join(private)}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "ieutxo.py"], ids=lambda p: p.name
+)
+def test_only_ieutxo_spells_the_pair_table_layout(path):
+    """Bit ``j`` of a mask stands for a model's transaction ``j``; that layout
+    is ``ieutxo``'s, which builds the pair table and walks it, so no other
+    module calls ``pair_masks`` or shifts a bit."""
+    spelled = [
+        f"line {node.lineno}"
+        for node in ast.walk(_parse(path))
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.LShift))
+        or (
+            isinstance(node, ast.Call)
+            and "pair_masks" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        )
+    ]
+    assert not spelled, f"{path.name} spells the pair-table layout: {', '.join(spelled)}"
 
 
 def _bound(node: ast.AST) -> list:
