@@ -210,11 +210,12 @@ def value_label(value: Any) -> str:
     Never depends on hash iteration order, so it is stable across runs and
     usable as a sort key and as a serialized element reference.
 
-    A value with a ``label`` method supplies its own.  Transactions and
-    chunks compute theirs on first use and keep it on the object, as part
-    of the immutable value rather than a cache keyed by input; scripts keep
-    none (see :func:`chunkalg.scripts.script_label`), and the other values
-    here are labelled afresh, each label being cheap once the chunks inside
+    A value with a ``label`` method supplies its own.  A transaction
+    computes its label on first use and keeps it on the object, as part of
+    the immutable value rather than a cache keyed by input; a chunk joins
+    its transactions' kept labels on each call, scripts keep none (see
+    :func:`chunkalg.scripts.script_label`), and the other values here are
+    labelled afresh, each label being cheap once the transactions inside
     keep theirs.
     """
     if isinstance(value, str):

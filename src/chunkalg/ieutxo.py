@@ -174,13 +174,12 @@ class Transaction:
     can be checked and rejected; models refuse to enumerate it.
 
     The label is computed on first use and kept on the transaction: it is
-    part of the immutable value, not a cache keyed by input, and the chunk
-    labels and :class:`~chunkalg.scripts.AcsCompose` hashes of represented
-    models are built from it.  It is not computed in the constructor, since
-    most transactions (generated, parsed, renamed probes) are never
-    labelled.  The hash, the one the dataclass would generate, is kept the
-    same way; it is not pickled, since ``str`` hashes differ between
-    processes.
+    part of the immutable value, not a cache keyed by input, and every
+    label of a chunk over the transaction reads it again.  It is not
+    computed in the constructor, since most transactions (generated,
+    parsed, renamed probes) are never labelled.  The hash, the one the
+    dataclass would generate, is kept the same way; it is not pickled,
+    since ``str`` hashes differ between processes.
     """
 
     inputs: tuple[Input, ...]
@@ -477,18 +476,18 @@ def pairwise_chunk_oracle(txs: Sequence[Transaction]) -> bool:
 class Chunk:
     """A transaction list satisfying the chunk conditions; validated on construction.
 
-    Like a transaction's, the label and hash are computed on first use and
-    kept on the chunk (lazily, so the pools of chunks that are never
-    labelled hold none), and the hash is not pickled; a composition also
-    carries its position index (see :class:`_Index`).  All are parts of the
-    immutable value, not caches keyed by input.
+    The hash is computed on first use and kept on the chunk, like a
+    transaction's, and is not pickled; a composition also carries its
+    position index (see :class:`_Index`).  Both are parts of the immutable
+    value, not caches keyed by input.  The label is not kept: it joins the
+    labels its transactions keep, and is built on each call, since a
+    chunk's label is read at most once (to sort a carrier or to report).
     """
 
     txs: TxList
     # Set only by _trusted: the index of a composition (see _Index).
     _index = None
-    # Set by label() and __hash__ on first use.
-    _label = None
+    # Set by __hash__ on first use.
     _hash = None
 
     def __post_init__(self):
@@ -522,11 +521,7 @@ class Chunk:
         return Chunk._trusted(tuple(tx.rename(perm) for tx in self.txs))
 
     def label(self) -> str:
-        label = self._label
-        if label is None:
-            label = "ch[" + ";".join(tx.label() for tx in self.txs) + "]"
-            object.__setattr__(self, "_label", label)
-        return label
+        return "ch[" + ";".join(tx.label() for tx in self.txs) + "]"
 
     def __hash__(self) -> int:
         h = self._hash
@@ -1060,7 +1055,7 @@ class IeutxoArrow:
 
 
 def identity_arrow(model: IeutxoModel) -> IeutxoArrow:
-    return IeutxoArrow(model, model, {tx: Chunk((tx,)) for tx in model.transactions})
+    return IeutxoArrow(model, model, {tx: Chunk._trusted((tx,)) for tx in model.transactions})
 
 
 def arrow_violation(

@@ -6,8 +6,8 @@ script.  Scripts are compared by plain dataclass equality, so
 extensionally equal but structurally distinct scripts (``And(a, b)`` and
 ``And(b, a)``, or ``Not(Not(a))`` and ``a``) count as distinct validators;
 that refinement is deliberate and keeps validator identity decidable.
-Every node but ``AcsCompose`` keeps its fields in slots, with no
-per-instance dict, and refuses every attribute set and delete with
+Every node keeps its fields in slots, with no per-instance dict, keeps no
+label or hash, and refuses every attribute set and delete with
 ``FrozenInstanceError`` (:func:`frozen_slotted`); the field-free
 ``AcceptAll`` and ``RejectAll`` are interned.
 Each node's ``rename`` says where its atoms are, and its support is read
@@ -184,7 +184,7 @@ class Or:
         return Or(self.left.rename(perm), self.right.rename(perm))
 
 
-@dataclass(frozen=True)
+@frozen_slotted
 class AcsCompose:
     """Accept inputs whose key composes with ``element`` below the top.
 
@@ -194,10 +194,9 @@ class AcsCompose:
     composition in the instance stays below the failure element.  The
     decision reads only the input-point's key, so the node is point-local.
 
-    The element is typically a whole chunk, so the hash, which reads its
-    label, is computed on first use and kept on the node: it is part of the
-    immutable value, like the label a chunk keeps.  It is not pickled,
-    since ``str`` hashes differ between processes.
+    The node hashes as the dataclass does, by its element's hash: the
+    element is typically a whole chunk, which keeps its hash, so hashing
+    the node labels nothing.  The instance is not compared or hashed.
 
     A key from another carrier does not compose: the instance's
     ``mcompose`` raises ``TypeError`` or ``AttributeError`` on it (finite
@@ -207,8 +206,6 @@ class AcsCompose:
 
     element: Any
     inst: Any = field(compare=False, repr=False)
-    # Set by __hash__ on first use.
-    _hash = None
 
     def evaluate(self, datum, ptx) -> bool:
         other = ptx.point.key
@@ -220,16 +217,6 @@ class AcsCompose:
 
     def rename(self, perm):
         return AcsCompose(act_opaque(perm, self.element), self.inst)
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(("acs_compose", value_label(self.element)))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __getstate__(self) -> dict:
-        return {"element": self.element, "inst": self.inst}
 
 
 Script = Union[

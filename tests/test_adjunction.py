@@ -10,7 +10,7 @@ from chunkalg.atoms import Permutation
 from chunkalg.axioms import oriented_axiom_check
 from chunkalg.functors import NotIutxo, check_adjunction, eta, iutxo_embedding_check
 from chunkalg.generators import GenConfig, gen_arrow, gen_model, stream
-from chunkalg.ieutxo import IeutxoModel, identity_arrow
+from chunkalg.ieutxo import Chunk, IeutxoArrow, IeutxoModel, ModelError, identity_arrow
 from chunkalg.scripts import SpendsAtMostNInputs
 
 from conftest import mk_tx
@@ -77,15 +77,34 @@ def test_each_represented_model_is_built_once_per_verdict(backbone_model, monkey
     ident = identity_arrow(backbone_model)
     own = partial(ChunkAcs, backbone_model)
     for make, options, expected in (
-        (own, {"strict": True}, (2, 16, 2, 49)),
-        (own, {}, (2, 16, 2, 49)),
-        (own, {"model_arrows": [ident, ident]}, (2, 16, 2, 49)),
-        (FiniteSetsAcs, {}, (3, 16, 3, 44)),
+        (own, {"strict": True}, (2, 16, 2, 33)),
+        (own, {}, (2, 16, 2, 33)),
+        (own, {"model_arrows": [ident, ident]}, (2, 16, 2, 37)),
+        (FiniteSetsAcs, {}, (3, 16, 3, 28)),
     ):
         counts.update(g_object=0, _blocked=0, enumerate_chunks=0, __post_init__=0)
         report = check_adjunction(backbone_model, make(), seed=1, samples=40, **options)
         assert report.ok, options
         assert tuple(counts.values()) == expected, options
+
+
+def test_adjunction_fails_where_represented_factors_are_no_chunk(backbone):
+    """With no probe candidates, the represented ``tx2`` and ``tx4`` both
+    output at ``d``, so a chunk over both has no represented witness: the
+    laws that build one fail, naming the element, and nothing raises."""
+    model = IeutxoModel("backbone", backbone, probe_candidates=())
+    _, tx2, tx3, tx4 = backbone
+    one = IeutxoModel("one", (mk_tx([], [("z", 0)]),))
+    into = IeutxoArrow(one, model, {one.transactions[0]: Chunk((tx3, tx2, tx4))})
+    inst = ChunkAcs(model)
+    report = check_adjunction(model, inst, seed=0, samples=40, model_arrows=[into])
+    assert not report.ok
+    surj = report.result("epsilon_surjective")
+    assert not surj.ok and surj.witnesses[0] == [Chunk((tx3, tx2, tx4)).label()]
+    (nat,) = report.result("eta_natural").witnesses
+    assert nat.startswith("represented arrow not materialized: factors of ch[")
+    with pytest.raises(ModelError, match="represented by no chunk"):
+        eta(model).surjectivity_witness(Chunk((tx2, tx4)))
 
 
 def test_unit_and_counit_need_no_declared_universe(backbone):

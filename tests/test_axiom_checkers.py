@@ -260,8 +260,9 @@ def test_functor_law_lists_in_order(backbone_model):
 
 def test_adjunction_fails_its_counit_laws_on_a_broken_instance(pair_model):
     """Plain union is no chunk system, so the counit into it is no monoid
-    map and the represented pair law fails; each failure's witness is the
-    note its law was checked with, and the other eight laws pass."""
+    map and the represented pair law fails; the monoid-map law's witness
+    is the note it was checked with, the pair law's the labels of its pair,
+    and the other eight laws pass."""
     from chunkalg.functors import check_adjunction
 
     report = check_adjunction(pair_model, _UnionNoDisjointness(("a", "b", "c")), seed=1, samples=10)
@@ -269,7 +270,7 @@ def test_adjunction_fails_its_counit_laws_on_a_broken_instance(pair_model):
     failed = {law.law: law.witnesses[0] for law in report.results if not law.ok}
     assert failed == {
         "epsilon_monoid_map": "counit is not a monoid map",
-        "represented_pair_composition": "pair law fails at {s:b}, {s:b}",
+        "represented_pair_composition": ["{s:b}", "{s:b}"],
     }
     passed = [law.law for law in report.results if law.ok]
     assert passed == [law for law in ADJUNCTION_LAWS if law not in failed]

@@ -434,6 +434,23 @@ def test_adjunction_defaults_missing_probe_universe(capsys, tmp_path):
     }
 
 
+def test_adjunction_reports_a_model_whose_representation_fails(capsys, tmp_path):
+    """Without probe candidates the backbone's represented ``tx2`` and
+    ``tx4`` both output at ``d``: the adjunction fails with a report, not
+    a traceback."""
+    with open(fixture_path("backbone_model.json")) as f:
+        model = json.load(f)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**model, "probe_candidates": []}))
+    code = main(["adjunction", "--model", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    report = json.loads(captured.out)
+    assert report["status"] == "violations"
+    laws = {l["axiom"]: l["status"] for l in report["payload"]["report"]["laws"]}
+    assert laws["epsilon_surjective"] == "fail"
+
+
 def _independent_model(tmp_path, n):
     """A model file of ``n`` one-output transactions on distinct positions,
     so every ordered selection of them is a chunk: 986,410 for n = 9."""

@@ -3,16 +3,19 @@
 ``script_label`` must equal the JSON wire form ``json.dumps(script_to_obj(s),
 sort_keys=True, separators=(",", ":"))`` and the same form built from an
 independent walk that reads no kept label.
-Transactions, chunks and ``AcsCompose`` nodes keep their label and hash
-after first use; each is compared with an independent recomputation, also
-after renaming.  ``is_top`` tests interned tops, ``FAIL`` among them, by
-identity, which must not change what counts as top.
+Transactions keep their label and hash after first use, and chunks their
+hash; a chunk's label is joined afresh on each call, and an ``AcsCompose``
+node hashes by its element's hash and keeps nothing.  Each is compared
+with an independent recomputation, also after renaming.  ``is_top`` tests
+interned tops, ``FAIL`` among them, by identity, which must not change what
+counts as top.
 """
 
 import copy
 import json
 import pickle
 from functools import lru_cache
+from itertools import chain
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,7 +86,7 @@ def _ref_hash_key(value):
     if isinstance(value, Output):
         return (value.position, _ref_hash_key(value.datum), _ref_hash_key(value.validator))
     if isinstance(value, AcsCompose):
-        return ("acs_compose", _ref_label(value.element))
+        return (_ref_hash_key(value.element),)
     if isinstance(value, Not):
         return (_ref_hash_key(value.body),)
     if isinstance(value, (And, Or)):
@@ -110,19 +113,29 @@ def _ref_script_label(script):
 
 
 @lru_cache(maxsize=None)
-def _represented():
-    """Chunks whose transactions carry ``AcsCompose`` validators over chunks,
-    two levels deep, plus the plain chunks they represent."""
+def _models():
+    """Two generated models, each with its represented model and that
+    one's, whose transactions carry ``AcsCompose`` validators over chunks,
+    two levels deep."""
     cfg = GenConfig(seed=71, max_atoms=6)
     rng = stream(cfg)
     out = []
     for i in range(2):
         model = gen_model(cfg, rng, name=f"labels-{i}", n_txs=3)
-        plain = list(enumerate_chunks(model))
         gm = g_object(ChunkAcs(model))
-        represented = [c for c in enumerate_chunks(gm.model) if len(c) <= 2]
-        gm2 = g_object(ChunkAcs(gm.model))
-        out += plain + represented + [c for c in enumerate_chunks(gm2.model) if len(c) <= 2]
+        out.append((model, gm.model, g_object(ChunkAcs(gm.model)).model))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _represented():
+    """The chunks of each plain model, and those of at most two
+    transactions of each represented one."""
+    out = []
+    for plain, *represented in _models():
+        out += enumerate_chunks(plain)
+        for model in represented:
+            out += [c for c in enumerate_chunks(model) if len(c) <= 2]
     return tuple(out)
 
 
@@ -259,16 +272,53 @@ def test_kept_chunk_and_transaction_labels(chunk):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_represented()))
-def test_kept_acs_compose_hash(chunk):
+def test_acs_compose_hashes_by_its_element(chunk):
+    """The node's hash is the dataclass's, ``hash((element,))``, and equal
+    nodes hash equal however they were built: copied, pickled, rebuilt
+    from their parts, or renamed and rebuilt from the renamed element."""
     node = AcsCompose(chunk, None)
-    want = hash(("acs_compose", _ref_label(chunk)))
-    assert hash(node) == want and hash(node) == want
-    copy = _fresh_copy(node)
-    assert copy == node and hash(copy) == want
+    want = hash(_ref_hash_key(node))
+    assert hash(node) == want == hash((chunk,)) and hash(node) == want
+    for same in (
+        _fresh_copy(node),
+        copy.copy(node),
+        copy.deepcopy(node),
+        *(pickle.loads(pickle.dumps(node, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ):
+        assert same == node and hash(same) == want
     for perm in _renamings(chunk):
         renamed = node.rename(perm)
-        assert hash(renamed) == hash(("acs_compose", _ref_label(renamed.element)))
+        rebuilt = AcsCompose(_fresh_copy(chunk.rename(perm)), None)
+        assert renamed == rebuilt and hash(renamed) == hash(rebuilt) == hash(_ref_hash_key(rebuilt))
         assert hash(node) == want
+
+
+def test_hashing_acs_compose_labels_nothing(monkeypatch):
+    """Hashing a node, and the represented transactions and chunks that
+    carry it, reads hashes only: no value, transaction or chunk is labelled."""
+
+    def refuse(*args):
+        raise AssertionError("labelled while hashing")
+
+    fresh = [_fresh_copy(chunk) for chunk in _represented()]
+    for mod in ("atoms", "scripts", "ieutxo", "acs"):
+        monkeypatch.setattr(f"chunkalg.{mod}.value_label", refuse)
+    monkeypatch.setattr(Transaction, "label", refuse)
+    monkeypatch.setattr(Chunk, "label", refuse)
+    for chunk in fresh:
+        hash(AcsCompose(chunk, None))
+        hash(chunk)
+
+
+def test_carrier_chunks_keep_no_label():
+    """Sorting a carrier by label and labelling its chunks again keeps no
+    label on any chunk; their transactions keep theirs."""
+    for model in chain.from_iterable(_models()):
+        carrier = ChunkAcs(model).enumerate_carrier()[:-1]
+        for chunk in carrier:
+            assert chunk.label() == _ref_label(chunk)
+            assert "_label" not in vars(chunk)
+            assert all("_label" in vars(tx) for tx in chunk.txs)
 
 
 def _unhashed(value):
