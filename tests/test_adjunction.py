@@ -1,11 +1,12 @@
 """End-to-end round-trip checks: unit, counit, naturality, triangles."""
 
+from dataclasses import replace
 from functools import partial
 
 import pytest
 
 from chunkalg import acs, functors, ieutxo
-from chunkalg.acs import ChunkAcs, FiniteSetsAcs, Fn, SubstAcs, perm_acs_arrow
+from chunkalg.acs import ChunkAcs, FiniteSetsAcs, Fn, SubstAcs, Var, perm_acs_arrow
 from chunkalg.atoms import Permutation
 from chunkalg.axioms import oriented_axiom_check
 from chunkalg.functors import NotIutxo, check_adjunction, eta, iutxo_embedding_check
@@ -47,13 +48,65 @@ def test_adjunction_strict_mode_on_chunks(backbone_model):
     assert report.result("epsilon_bijective_strict").ok
 
 
+def test_strict_counit_counts_elements_not_labels():
+    """``Var("c")`` and ``Fn("c")`` both label as ``c``: the two one-output
+    transactions differ, and so do their singleton chunks, though their
+    labels agree.  The counit is a bijection, so the strict law passes."""
+    txs = tuple(mk_tx([], [("p", datum)]) for datum in (Var("c"), Fn("c")))
+    model = IeutxoModel("same-label", txs)
+    assert txs[0] != txs[1] and txs[0].label() == txs[1].label()
+    report = check_adjunction(model, ChunkAcs(model), seed=0, samples=10, strict=True)
+    assert report.ok, [r.to_obj() for r in report.results if not r.ok]
+    assert report.result("epsilon_bijective_strict").checked == 2
+
+
+@pytest.mark.parametrize(
+    "mutant, first_check, why",
+    [
+        # tx still feeds ty in the model, but their swapped images do not compose
+        ("swapped", [], ": ({tx}, {ty}) composes only in pair"),
+        # refused before any pair table is read, and nothing raises
+        (
+            "collapsed",
+            ["unit not a bijection of the transactions"],
+            ": the unit is not a bijection of the transactions",
+        ),
+    ],
+)
+def test_a_mutated_unit_fails_the_chunk_set_laws_naming_why(
+    pair_model, monkeypatch, mutant, first_check, why
+):
+    """Both chunk-set laws give their fixed note, then the first pair whose
+    seam differs and the side on which it composes, or that the unit is no
+    bijection."""
+    tx, ty = pair_model.transactions
+    real_eta = functors.eta
+
+    def mutated_eta(model):
+        et = real_eta(model)
+        if model is not pair_model:
+            return et
+        images = (et.unit[ty], et.unit[tx]) if mutant == "swapped" else (et.unit[tx],) * 2
+        return replace(et, unit=dict(zip((tx, ty), images)))
+
+    monkeypatch.setattr(functors, "eta", mutated_eta)
+    why = why.format(tx=tx.label(), ty=ty.label())
+    report = check_adjunction(pair_model, FiniteSetsAcs(("a", "b")), seed=0, samples=10)
+    bij = report.result("eta_bijective_on_chunks")
+    assert bij.checked == 2
+    assert bij.witnesses == first_check + ["unit image differs from round-trip chunk set" + why]
+    iso = iutxo_embedding_check(pair_model, seed=0, samples=10).result("round_trip_isomorphic")
+    assert iso.witnesses == ["round-trip chunk sets differ" + why]
+
+
 def test_each_represented_model_is_built_once_per_verdict(backbone_model, monkeypatch):
     """G(F(model)), G(inst) and G(F(G(inst))) are built once each, and
     G(F(model)) is G(inst) when ``inst`` is the model's own chunk system:
     the default identity arrows, and a supplied arrow given twice, reuse
     them, and so reuse their blocked-channel analysis.  Each chunk set is
-    enumerated once: the model's, the round trip's, and F(G(inst))'s when
-    ``inst`` is not the model's own chunk system.  The last count is of
+    enumerated once, for its samples: the model's and F(G(inst))'s.  The
+    unit's bijection on chunks reads the two pair tables, so the round trip
+    is enumerated only where it is F(G(inst)).  The last count is of
     chunks validated by the ``Chunk`` constructor: the unit looks
     transactions up in its table and builds no chunk to do so, and a chunk
     system's factors and atomic elements are built unvalidated."""
@@ -70,9 +123,8 @@ def test_each_represented_model_is_built_once_per_verdict(backbone_model, monkey
 
     count_calls(functors, "g_object")
     count_calls(ieutxo, "_blocked")
-    # A chunk system walks its carrier with the masks; functors enumerates.
+    # A chunk system walks its carrier with the masks.
     count_calls(acs, "walk_chunks", "enumerate_chunks")
-    count_calls(functors, "enumerate_chunks")
     count_calls(ieutxo.Chunk, "__post_init__")
     ident = identity_arrow(backbone_model)
     own = partial(ChunkAcs, backbone_model)
@@ -80,7 +132,7 @@ def test_each_represented_model_is_built_once_per_verdict(backbone_model, monkey
         (own, {"strict": True}, (2, 16, 2, 33)),
         (own, {}, (2, 16, 2, 33)),
         (own, {"model_arrows": [ident, ident]}, (2, 16, 2, 37)),
-        (FiniteSetsAcs, {}, (3, 16, 3, 28)),
+        (FiniteSetsAcs, {}, (3, 16, 2, 28)),
     ):
         counts.update(g_object=0, _blocked=0, enumerate_chunks=0, __post_init__=0)
         report = check_adjunction(backbone_model, make(), seed=1, samples=40, **options)

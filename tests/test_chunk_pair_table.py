@@ -20,15 +20,20 @@ from chunkalg import acs, ieutxo
 from chunkalg.acs import ChunkAcs
 from chunkalg.atoms import Permutation, fresh_atoms
 from chunkalg.functors import eta
-from chunkalg.generators import GenConfig, gen_model, stream
+from chunkalg.generators import GenConfig, gen_arrow, gen_model, stream
 from chunkalg.ieutxo import (
     EMPTY_CHUNK,
     FAIL,
+    IeutxoArrow,
     IeutxoModel,
+    arrow_violation,
     check_chunk,
+    composable,
     compose,
     enumerate_chunks,
+    is_chunk,
     pair_masks,
+    pair_mismatch,
     pairwise_chunk_oracle,
     pos,
 )
@@ -223,3 +228,63 @@ def test_a_model_checks_its_pair_seams_once(backbone_model, monkeypatch):
     again = replace(model)
     assert pair_masks(again) == pair_masks(model)
     assert len(seams) == 2 * n * n
+
+
+def _chunk_sets_match(table: dict, source: IeutxoModel, target: IeutxoModel) -> bool:
+    """The reference the unit's law once was: every source chunk mapped
+    through ``table`` transaction by transaction, injectively, onto the
+    target's enumerated chunk set."""
+    chunks = list(enumerate_chunks(source))
+    image = {tuple(table[tx] for tx in c.txs) for c in chunks}
+    return len(image) == len(chunks) and image == {c.txs for c in enumerate_chunks(target)}
+
+
+@given(st.integers(0, 2**20), st.integers(1, 5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_pair_mismatch_agrees_with_the_chunk_set_reference(seed, n_txs, data):
+    """On the unit of ``eta`` and on that unit with two images swapped (both
+    bijections of the transactions), the pair tables agree exactly when the
+    mapped chunk set is the round trip's."""
+    model = _model(seed, n_txs)
+    et = eta(model)
+    tables = [et.unit]
+    txs = model.transactions
+    if len(txs) >= 2:
+        indices = st.integers(0, len(txs) - 1)
+        i, j = data.draw(st.lists(indices, min_size=2, max_size=2, unique=True))
+        tables.append({**et.unit, txs[i]: et.unit[txs[j]], txs[j]: et.unit[txs[i]]})
+    for table in tables:
+        mismatch = pair_mismatch(table, model, et.model)
+        assert (mismatch is None) == _chunk_sets_match(table, model, et.model)
+        if mismatch is not None:
+            s, t = mismatch
+            assert is_chunk((s, t)) != is_chunk((table[s], table[t]))
+    assert pair_mismatch(et.unit, model, et.model) is None
+
+
+def _arrow_violation_reference(f: IeutxoArrow):
+    """``arrow_violation`` as a ``check_chunk`` on every ordered source pair."""
+    txs = f.source.transactions
+    for s in txs:
+        for t in txs:
+            if s != t and is_chunk((s, t)) and not composable(f(s), f(t)):
+                return (s, t)
+    return None
+
+
+@given(st.integers(0, 2**20), st.integers(1, 5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_arrow_violation_agrees_with_the_check_chunk_loop(seed, n_txs, data):
+    """On generated (lawful) arrows, and on each with one image replaced by
+    another transaction's image, the kept pair table finds the reference's
+    first violation."""
+    cfg = GenConfig(seed=seed, max_txs=n_txs)
+    rng = stream(cfg)
+    model = gen_model(cfg, rng, name=f"m{seed}", n_txs=n_txs)
+    f = gen_arrow(cfg, model, rng=rng)
+    assert arrow_violation(f) is None is _arrow_violation_reference(f)
+    txs = model.transactions
+    indices = st.integers(0, len(txs) - 1)
+    i, j = data.draw(indices), data.draw(indices)
+    broken = IeutxoArrow(model, f.target, {**f.table, txs[i]: f.table[txs[j]]})
+    assert arrow_violation(broken) == _arrow_violation_reference(broken)
