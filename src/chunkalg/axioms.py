@@ -18,9 +18,14 @@ its factors, its image under an arrow, its order against every other
 sample) and composes each drawn pair once in each order.  The monoid checker
 keeps each sample pair's product by index pair in a memo that lives for one
 call, so its pair, triple and locality loops compose a pair once between
-them.  This assumes that ``mcompose``, ``leq``, ``factor``, the orientation
-oracles and arrows are functions of their arguments, as every shipped
-instance's are.  Nothing is kept past the call.  Whether ``x·y`` and
+them.  When its pairs and triples are both exhaustive and every pair's
+product is itself a sample (a whole finite carrier, say), it reads each
+product as that sample's index: the triple and locality loops then compose
+nothing, and the order of two products is read off the sample's order
+table.  This assumes that ``mcompose``, ``leq``, ``factor``, the
+orientation oracles and arrows are functions of their arguments, as every
+shipped instance's are, and that elements are hashable, so that equal
+products find one index.  Nothing is kept past the call.  Whether ``x·y`` and
 ``y·x`` commute up to observation is probed only when their behaviour keys
 differ (:func:`~chunkalg.acs.obs_equiv_probe`): equal elements, and chunks
 over the same transactions, are equivalent without a probe.
@@ -177,29 +182,54 @@ def monoid_axiom_check(
         order.check(le[i][i], x)
         bounds.check(leq(bot, x) and leq(x, top), x)
 
+    # P[i][j] is the index of samples[i]·samples[j], when every pair and
+    # triple is checked and every product is a sample; None otherwise.
+    P = _product_table(samples, xy) if n**2 <= pair_cap and n**3 <= triple_cap else None
+
     for i, j in _tuples(range(n), 2, seed + 1, pair_cap):
         x, y = samples[i], samples[j]
         order.check(not (le[i][j] and le[j][i]) or x == y, x, y)
-        z = xy[i, j]
-        incr.check(leq(x, z) and leq(y, z), x, y)
+        if P is None:
+            z = xy[i, j]
+            incr.check(leq(x, z) and leq(y, z), x, y)
+        else:
+            p = P[i][j]
+            incr.check(le[i][p] and le[j][p], x, y)
 
-    for i, j, k in _tuples(range(n), 3, seed + 2, triple_cap):
-        x, y, z = samples[i], samples[j], samples[k]
-        assoc.check(mc(xy[i, j], z) == mc(x, xy[j, k]), x, y, z)
-        if le[i][j]:
-            order.check(not le[j][k] or le[i][k], x, y, z)
-            mono.check(leq(xy[i, k], xy[j, k]) and leq(xy[k, i], xy[k, j]), x, y, z)
+    if P is None:
+        for i, j, k in _tuples(range(n), 3, seed + 2, triple_cap):
+            x, y, z = samples[i], samples[j], samples[k]
+            assoc.check(mc(xy[i, j], z) == mc(x, xy[j, k]), x, y, z)
+            if le[i][j]:
+                order.check(not le[j][k] or le[i][k], x, y, z)
+                mono.check(leq(xy[i, k], xy[j, k]) and leq(xy[k, i], xy[k, j]), x, y, z)
+    else:
+        for i, j, k in itertools.product(range(n), repeat=3):
+            x, y, z = samples[i], samples[j], samples[k]
+            Pi, Pk = P[i], P[k]
+            assoc.check(P[Pi[j]][k] == Pi[P[j][k]], x, y, z)
+            if le[i][j]:
+                order.check(not le[j][k] or le[i][k], x, y, z)
+                mono.check(le[Pi[k]][P[j][k]] and le[Pk[i]][Pk[j]], x, y, z)
 
     wf.check(_acyclic(samples, le))
 
     rng = random.Random(seed + 3)
+    top_at = [inst.is_top(x) for x in samples] if P is not None else None
     for _ in range(list_samples if n else 0):
         k = rng.randint(2, 5)
         ix = [rng.randrange(n) for _ in range(k)]
-        prod = xy[ix[0], ix[1]]
-        for i in ix[2:]:
-            prod = mc(prod, samples[i])
-        if inst.is_top(prod):
+        if P is None:
+            prod = xy[ix[0], ix[1]]
+            for i in ix[2:]:
+                prod = mc(prod, samples[i])
+            failed = inst.is_top(prod)
+        else:
+            p = P[ix[0]][ix[1]]
+            for i in ix[2:]:
+                p = P[p][i]
+            failed = top_at[p]
+        if failed:
             some_pair = any(
                 inst.is_top(xy[ix[a], ix[b]])
                 for a in range(k)
@@ -223,6 +253,15 @@ class _Products(dict):
         i, j = key
         z = self[key] = self.mc(self.samples[i], self.samples[j])
         return z
+
+
+def _product_table(samples: Sequence, xy: _Products) -> Optional[list[list[int]]]:
+    """Each pair's product as the index of an equal sample, or None when
+    some product is no sample.  Pairs are composed in the exhaustive pair
+    loop's order."""
+    index = {x: i for i, x in enumerate(samples)}
+    table = [[index.get(xy[i, j]) for j in range(len(samples))] for i in range(len(samples))]
+    return None if any(None in row for row in table) else table
 
 
 def _acyclic(samples: Sequence, le: Sequence[Sequence[bool]]) -> bool:

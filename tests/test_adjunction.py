@@ -99,6 +99,58 @@ def test_a_mutated_unit_fails_the_chunk_set_laws_naming_why(
     assert iso.witnesses == ["round-trip chunk sets differ" + why]
 
 
+def _mutate_unit(monkeypatch, model, images):
+    """Make ``functors.eta`` give ``model`` the unit ``images(et.unit)``."""
+    real_eta = functors.eta
+
+    def mutated_eta(m):
+        et = real_eta(m)
+        return replace(et, unit=images(et.unit)) if m is model else et
+
+    monkeypatch.setattr(functors, "eta", mutated_eta)
+
+
+def test_a_unit_missing_a_transaction_fails_its_laws_naming_it(pair_model, monkeypatch):
+    """Mapping a list through a unit that misses ``ty`` fails the three laws
+    that map lists through it, each naming ``ty``, and neither checker
+    raises."""
+    tx, ty = pair_model.transactions
+    _mutate_unit(monkeypatch, pair_model, lambda unit: {tx: unit[tx]})
+    missing = f"transaction not in the unit's source: {ty.label()}"
+    report = check_adjunction(pair_model, FiniteSetsAcs(("a", "b")), seed=0, samples=10)
+    embedding = iutxo_embedding_check(pair_model, seed=0, samples=10)
+    for law, note in (
+        (report.result("eta_preserves_reflects_chunkhood"), "chunkhood not preserved/reflected"),
+        (report.result("eta_natural"), "unit naturality square does not commute"),
+        (embedding.result("loop_composition_preserved"), "loop image composes differently"),
+    ):
+        assert law.witnesses and set(law.witnesses) == {f"{note}: {missing}"}, law.law
+    assert not report.result("triangle_counit_after_unit_image").ok
+
+
+def test_a_swapped_unit_names_the_list_and_each_sides_violation(pair_model, monkeypatch):
+    """tx feeds ty in the model, but their swapped images compose only as
+    ``[ty, tx]``.  Each failure keeps its fixed note and names the list, or
+    the pair, with each side's first ``check_chunk`` violation."""
+    tx, ty = pair_model.transactions
+    _mutate_unit(monkeypatch, pair_model, lambda unit: {tx: unit[ty], ty: unit[tx]})
+    et = functors.eta(pair_model)
+    forward = ieutxo.check_chunk(et.on_list((tx, ty))).violation
+    backward = ieutxo.check_chunk((ty, tx)).violation
+    assert forward is not None and backward is not None
+    mismatches = {
+        f"[{tx.label()}, {ty.label()}] in pair: a chunk; in {et.model.name}: {forward}",
+        f"[{ty.label()}, {tx.label()}] in pair: {backward}; in {et.model.name}: a chunk",
+    }
+    report = check_adjunction(pair_model, FiniteSetsAcs(("a", "b")), seed=0, samples=10)
+    pres = report.result("eta_preserves_reflects_chunkhood").witnesses
+    assert pres and set(pres) <= {f"chunkhood not preserved/reflected: {m}" for m in mismatches}
+    loop = iutxo_embedding_check(pair_model, seed=0, samples=10)
+    assert set(loop.result("loop_composition_preserved").witnesses) == {
+        f"loop image composes differently: {m}" for m in mismatches
+    }
+
+
 def test_each_represented_model_is_built_once_per_verdict(backbone_model, monkeypatch):
     """G(F(model)), G(inst) and G(F(G(inst))) are built once each, and
     G(F(model)) is G(inst) when ``inst`` is the model's own chunk system:
