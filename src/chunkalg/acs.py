@@ -348,7 +348,7 @@ class SubstAcs(AcsInstance):
         top = self.top
         if y is top:
             return True
-        if x is top:
+        if x is top or not x.dom <= y.dom:
             return False
         ym = y.mapping()
         return all(ym.get(a) == t for a, t in x.bindings)

@@ -22,13 +22,18 @@ them.  When its pairs and triples are both exhaustive and every pair's
 product is itself a sample (a whole finite carrier, say), it reads each
 product as that sample's index: the triple and locality loops then compose
 nothing, and the order of two products is read off the sample's order
-table.  This assumes that ``mcompose``, ``leq``, ``factor``, the
-orientation oracles and arrows are functions of their arguments, as every
-shipped instance's are, and that elements are hashable, so that equal
-products find one index.  Nothing is kept past the call.  Whether ``x·y`` and
-``y·x`` commute up to observation is probed only when their behaviour keys
-differ (:func:`~chunkalg.acs.obs_equiv_probe`): equal elements, and chunks
-over the same transactions, are equivalent without a probe.
+table.  There each triple law is decided for a row ``(x, y)`` and every
+``z`` at once, from whole rows of the product and order tables, and a row
+is walked ``z`` by ``z`` only when it fails; locality reads, per sample,
+the set of samples its product with which fails.  Only failures are
+labelled, on either path.  This assumes that ``mcompose``, ``leq``,
+``factor``, the orientation oracles and arrows are functions of their
+arguments, as every shipped instance's are, and that elements are
+hashable, so that equal products find one index.  Nothing is kept past
+the call.  Whether ``x·y`` and ``y·x`` commute up to observation is probed
+only when their behaviour keys differ
+(:func:`~chunkalg.acs.obs_equiv_probe`): equal elements, and chunks over
+the same transactions, are equivalent without a probe.
 
 Well-foundedness of the order is checked as antisymmetry plus acyclicity of
 the strict order restricted to the sample; the property is not decidable
@@ -50,6 +55,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 from graphlib import CycleError, TopologicalSorter
+from operator import getitem
 from typing import Any, Iterable, Optional, Sequence
 
 from .atoms import Atom, Permutation, fresh_atoms
@@ -87,6 +93,10 @@ class LawResult:
                 self.witnesses.append(involved[0])
             else:
                 self.witnesses.append([self.inst.label(v) for v in involved])
+
+    def passed(self, n: int) -> None:
+        """Count ``n`` checks that passed."""
+        self.checked += n
 
     def to_obj(self) -> dict:
         obj = {
@@ -147,6 +157,19 @@ def _tuples(samples: Sequence, k: int, seed: int, cap: int) -> Iterable[tuple]:
     return itertools.islice(zip(*[draws] * k), cap)
 
 
+def _index_lists(n: int, seed: int, count: int) -> list[list[int]]:
+    """``count`` lists of 2 to 5 indices below ``n``: the draws of
+    ``rng.randint(2, 5)`` and then that many ``rng.randrange(n)`` from
+    ``rng = random.Random(seed)``, taken straight from ``getrandbits`` as
+    in :func:`_tuples` (``randint(2, 5)`` is 2 plus a 3-bit word below 4)."""
+    if not n:
+        return []
+    getrandbits = random.Random(seed).getrandbits
+    lengths = (2 + r for r in iter(partial(getrandbits, 3), None) if r < 4)
+    indices = (r for r in iter(partial(getrandbits, n.bit_length()), None) if r < n)
+    return [list(itertools.islice(indices, k)) for k in itertools.islice(lengths, count)]
+
+
 # ---------------------------------------------------------------------------
 # Monoid of chunks
 
@@ -204,41 +227,80 @@ def monoid_axiom_check(
                 order.check(not le[j][k] or le[i][k], x, y, z)
                 mono.check(leq(xy[i, k], xy[j, k]) and leq(xy[k, i], xy[k, j]), x, y, z)
     else:
-        for i, j, k in itertools.product(range(n), repeat=3):
-            x, y, z = samples[i], samples[j], samples[k]
-            Pi, Pk = P[i], P[k]
-            assoc.check(P[Pi[j]][k] == Pi[P[j][k]], x, y, z)
-            if le[i][j]:
-                order.check(not le[j][k] or le[i][k], x, y, z)
-                mono.check(le[Pi[k]][P[j][k]] and le[Pk[i]][Pk[j]], x, y, z)
+        # Each law is decided for a row (i, j) and every k at once; only a
+        # failing row is walked k by k, so witnesses keep the triple order.
+        ups = [frozenset(k for k, below in enumerate(row) if below) for row in le]
+        Pt = [list(col) for col in zip(*P)]
+        le_of = le.__getitem__
+        related = bad_assoc = bad_order = bad_mono = 0
+        for i, x in enumerate(samples):
+            Pi, Pti, le_i = P[i], Pt[i], le[i]
+            for j, y in enumerate(samples):
+                Pj, Ptj, Pij = P[j], Pt[j], P[Pi[j]]
+                if Pij != list(map(Pi.__getitem__, Pj)):
+                    bad_assoc += 1
+                    for k, z in enumerate(samples):
+                        assoc.check(Pij[k] == Pi[Pj[k]], x, y, z)
+                if not le_i[j]:
+                    continue
+                related += 1
+                if not ups[j] <= ups[i]:
+                    bad_order += 1
+                    le_j = le[j]
+                    for k, z in enumerate(samples):
+                        order.check(not le_j[k] or le_i[k], x, y, z)
+                if not (
+                    all(map(getitem, map(le_of, Pi), Pj))
+                    and all(map(getitem, map(le_of, Pti), Ptj))
+                ):
+                    bad_mono += 1
+                    for k, z in enumerate(samples):
+                        mono.check(le[Pi[k]][Pj[k]] and le[Pti[k]][Ptj[k]], x, y, z)
+        assoc.passed(n * (n * n - bad_assoc))
+        order.passed(n * (related - bad_order))
+        mono.passed(n * (related - bad_mono))
 
     wf.check(_acyclic(samples, le))
 
-    rng = random.Random(seed + 3)
-    top_at = [inst.is_top(x) for x in samples] if P is not None else None
-    for _ in range(list_samples if n else 0):
-        k = rng.randint(2, 5)
-        ix = [rng.randrange(n) for _ in range(k)]
-        if P is None:
+    # A list is checked, and labelled, only when its product fails and no
+    # pair of it (in list order) does; every other list passes.
+    lists = _index_lists(n, seed + 3, list_samples)
+    bad = 0
+    if P is None:
+        for ix in lists:
             prod = xy[ix[0], ix[1]]
             for i in ix[2:]:
                 prod = mc(prod, samples[i])
-            failed = inst.is_top(prod)
-        else:
+            if inst.is_top(prod) and not any(
+                inst.is_top(xy[ix[a], ix[b]])
+                for a in range(len(ix))
+                for b in range(a + 1, len(ix))
+            ):
+                bad += 1
+                local.check(False, *(samples[i] for i in ix))
+    else:
+        top_at = [inst.is_top(x) for x in samples]
+        # tops_after[a]: every b for which samples[a]·samples[b] fails
+        tops_after = [frozenset(b for b, p in enumerate(row) if top_at[p]) for row in P]
+        for ix in lists:
             p = P[ix[0]][ix[1]]
             for i in ix[2:]:
                 p = P[p][i]
-            failed = top_at[p]
-        if failed:
-            some_pair = any(
-                inst.is_top(xy[ix[a], ix[b]])
-                for a in range(k)
-                for b in range(a + 1, k)
-            )
-            local.check(some_pair, *(samples[i] for i in ix))
-        else:
-            local.check(True)
+            if top_at[p] and not _some_pair_fails(ix, tops_after):
+                bad += 1
+                local.check(False, *(samples[i] for i in ix))
+    local.passed(len(lists) - bad)
     return report
+
+
+def _some_pair_fails(ix: Sequence[int], tops_after: Sequence[frozenset]) -> bool:
+    """Does ``samples[ix[a]]·samples[ix[b]]`` fail for some ``a < b``?"""
+    reach: frozenset = frozenset()
+    for b in ix:
+        if b in reach:
+            return True
+        reach |= tops_after[b]
+    return False
 
 
 class _Products(dict):

@@ -339,11 +339,8 @@ def check_adjunction(
     for _ in range(samples):
         u = fg_elems[rng.randrange(len(fg_elems))]
         v = fg_elems[rng.randrange(len(fg_elems))]
-        hom.check(
-            gm.on_element(fg.mcompose(u, v))
-            == inst.mcompose(gm.on_element(u), gm.on_element(v)),
-            "counit is not a monoid map",
-        )
+        ok = gm.on_element(fg.mcompose(u, v)) == inst.mcompose(gm.on_element(u), gm.on_element(v))
+        hom.check(ok, None if ok else f"counit is not a monoid map: ({fg.label(u)}, {fg.label(v)})")
 
     pair = report.law("represented_pair_composition", inst)
     atoms = gm.atomics

@@ -133,6 +133,30 @@ def test_subst_order_is_submap(su):
     assert not su.leq(big, sa)
 
 
+@pytest.mark.parametrize(
+    "inst",
+    [SubstAcs(("a", "b", "c", "d"), term_pool=(Fn("c"),)), SubstAcs()],
+    ids=["17", "default-82"],
+)
+def test_subst_order_matches_the_mapping_definition(inst):
+    """``leq`` refuses a domain it does not contain before it reads the
+    bindings; on every pair it agrees with the sub-map definition."""
+
+    def submap(x, y):
+        if inst.is_top(y):
+            return True
+        if inst.is_top(x):
+            return False
+        ym = y.mapping()
+        return all(ym.get(a) == t for a, t in x.bindings)
+
+    carrier = inst.enumerate_carrier()
+    assert len(carrier) in (17, 82)
+    assert [[inst.leq(x, y) for y in carrier] for x in carrier] == [
+        [submap(x, y) for y in carrier] for x in carrier
+    ]
+
+
 def test_subst_factor(su):
     big = Subst((("b", Fn("c")), ("a", Var("a"))))
     parts = su.factor(big)

@@ -151,6 +151,36 @@ def test_a_swapped_unit_names_the_list_and_each_sides_violation(pair_model, monk
     }
 
 
+def test_a_counit_dropping_a_factor_names_the_pair_it_fails_on(pair_model, monkeypatch):
+    """A counit that drops the last factor of a represented chunk maps
+    ``u·v`` short of ``ε(u)·ε(v)``; the monoid-map law's witness keeps its
+    fixed note and names both elements."""
+    inst = FiniteSetsAcs(("a", "b", "c"))
+
+    def dropping_on_element(self, x):
+        if x is ieutxo.FAIL:
+            return self.inst.top
+        out = self.inst.bot
+        for tx in x.txs[:-1] or x.txs:
+            out = self.inst.mcompose(out, self.element_of[tx])
+        return out
+
+    monkeypatch.setattr(functors.GModel, "on_element", dropping_on_element)
+    report = check_adjunction(pair_model, inst, seed=0, samples=30)
+    hom = report.result("epsilon_monoid_map")
+    assert hom.witnesses
+    fg = ChunkAcs(functors.g_object(inst).model)
+    carrier = fg.enumerate_carrier()
+    named = {
+        f"counit is not a monoid map: ({fg.label(u)}, {fg.label(v)})": (u, v)
+        for u in carrier
+        for v in carrier
+    }
+    for witness in hom.witnesses:
+        u, v = named[witness]
+        assert not fg.is_top(u) and not fg.is_top(v)
+
+
 def test_each_represented_model_is_built_once_per_verdict(backbone_model, monkeypatch):
     """G(F(model)), G(inst) and G(F(G(inst))) are built once each, and
     G(F(model)) is G(inst) when ``inst`` is the model's own chunk system:

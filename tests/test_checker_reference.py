@@ -38,6 +38,7 @@ from chunkalg.atoms import Permutation
 from chunkalg.axioms import (
     AxiomReport,
     _acyclic,
+    _index_lists,
     _tuples,
     acs_arrow_check,
     atomic_axiom_check,
@@ -545,6 +546,20 @@ def test_seeded_draws_are_randrange_draws(n, k):
         want = [tuple(samples[rng.randrange(n)] for _ in range(k)) for _ in range(cap)]
         assert list(_tuples(samples, k, seed, cap)) == want
         assert list(_tuples(samples, k, seed, n**k)) == list(itertools.product(samples, repeat=k))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 20, 33])
+def test_locality_lists_are_randint_then_randrange_draws(n):
+    """``_index_lists`` draws each list's length as
+    ``random.Random(seed).randint(2, 5)`` does and then its indices as
+    ``randrange(n)`` does, from one stream; the golden reports' locality
+    lists were made with those draws, so a Python whose ``randint`` draws
+    differently fails here rather than changing the reports silently."""
+    for seed in (3, 4, 205):
+        rng = random.Random(seed)
+        want = [[rng.randrange(n) for _ in range(rng.randint(2, 5))] for _ in range(400)]
+        assert _index_lists(n, seed, 400) == want
+    assert _index_lists(0, 3, 400) == []
 
 
 @pytest.mark.parametrize("cap", [10_000, 60])
