@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from graphlib import CycleError, TopologicalSorter
 from operator import getitem
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .atoms import Atom, Permutation, fresh_atoms
 from .acs import AcsArrow, AcsInstance, in_leftB, in_rightB, obs_equiv_probe
@@ -150,24 +150,27 @@ def _tuples(samples: Sequence, k: int, seed: int, cap: int) -> Iterable[tuple]:
     n = len(samples)
     if n**k <= cap:
         return itertools.product(samples, repeat=k)
-    # The draws of random.Random(seed).randrange(n), without its layers:
-    # CPython takes getrandbits(n.bit_length()) until a value is below n.
-    bits = partial(random.Random(seed).getrandbits, n.bit_length())
-    draws = (samples[r] for r in iter(bits, None) if r < n)
+    draws = (samples[r] for r in _below(random.Random(seed).getrandbits, n))
     return itertools.islice(zip(*[draws] * k), cap)
 
 
 def _index_lists(n: int, seed: int, count: int) -> list[list[int]]:
     """``count`` lists of 2 to 5 indices below ``n``: the draws of
-    ``rng.randint(2, 5)`` and then that many ``rng.randrange(n)`` from
-    ``rng = random.Random(seed)``, taken straight from ``getrandbits`` as
-    in :func:`_tuples` (``randint(2, 5)`` is 2 plus a 3-bit word below 4)."""
+    ``rng.randint(2, 5)``, which is ``2 + rng.randrange(4)``, and then of
+    that many ``rng.randrange(n)``, from ``rng = random.Random(seed)``."""
     if not n:
         return []
     getrandbits = random.Random(seed).getrandbits
-    lengths = (2 + r for r in iter(partial(getrandbits, 3), None) if r < 4)
-    indices = (r for r in iter(partial(getrandbits, n.bit_length()), None) if r < n)
+    lengths = (2 + r for r in _below(getrandbits, 4))
+    indices = _below(getrandbits, n)
     return [list(itertools.islice(indices, k)) for k in itertools.islice(lengths, count)]
+
+
+def _below(getrandbits, n: int) -> Iterator[int]:
+    """The draws of ``randrange(n)`` off the generator of ``getrandbits``,
+    without its layers: CPython takes ``getrandbits(n.bit_length())`` until
+    a value is below ``n``."""
+    return (r for r in iter(partial(getrandbits, n.bit_length()), None) if r < n)
 
 
 # ---------------------------------------------------------------------------
