@@ -52,6 +52,7 @@ from .ieutxo import (
     blocked_utxo,
     chunk_leq,
     compose,
+    label_order,
     ledger_sets,
     pos,
     walk_chunks,
@@ -513,12 +514,20 @@ class ChunkAcs(AcsInstance):
     def enumerate_carrier(self) -> list:
         """The model's chunks in label order, then FAIL, as a fresh list;
         kept after the first call, since the model is immutable and one
-        verdict reads the carrier several times."""
+        verdict reads the carrier several times.  The walk yields that
+        order, so no label is built, unless the model's transaction labels
+        do not fix it (:func:`~chunkalg.ieutxo.label_order`): then the
+        chunks are sorted by label, ties by transaction indices."""
         if self._carrier is None:
-            for c, mask, after in walk_chunks(self.model):
+            model = self.model
+            for c, mask, after in walk_chunks(model):
                 self._masks[c] = (mask, after)
                 self._chunk_of[c.txs] = c
-            self._carrier = sorted(self._masks, key=self.label) + [FAIL]
+            carrier = list(self._masks)
+            if not label_order(model)[1]:
+                index = {tx: j for j, tx in enumerate(model.transactions)}
+                carrier.sort(key=lambda c: (self.label(c), tuple(map(index.get, c.txs))))
+            self._carrier = carrier + [FAIL]
         return list(self._carrier)
 
     # The base sampler.  perfbench/spans.py wraps ``ChunkAcs.sample_elements``

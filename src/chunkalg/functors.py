@@ -45,7 +45,6 @@ from .ieutxo import (
     Transaction,
     arrow_apply,
     arrow_compose,
-    arrows_equal,
     check_chunk,
     identity_arrow,
     is_chunk,
@@ -321,7 +320,9 @@ def check_adjunction(
             nat.check(False, f"unit naturality square does not commute: {exc}")
             continue
         rhs = {tx: gff(image).txs for tx, image in et_src.unit.items()}
-        nat.check(lhs == rhs, "unit naturality square does not commute")
+        note = "unit naturality square does not commute"
+        bad = next((tx for tx in lhs if lhs[tx] != rhs.get(tx)), None)
+        nat.check(lhs == rhs, note if bad is None else f"{note}: {bad.label()}")
 
     # ---- instance side ----------------------------------------------
     gm = et if own else g_object(inst)
@@ -369,9 +370,10 @@ def check_adjunction(
             eps_nat.check(False, f"represented arrow not materialized: {exc}")
             continue
         for a in ChunkAcs(gm_src.model).atomic_elements():
+            x = gm_src.on_element(a)
+            ok = gm_tgt.on_element(fgg(a)) == g(x)
             eps_nat.check(
-                gm_tgt.on_element(fgg(a)) == g(gm_src.on_element(a)),
-                "counit naturality square does not commute",
+                ok, None if ok else f"counit naturality square does not commute: {g.source.label(x)}"
             )
 
     tri_g = report.law("triangle_unit_after_represented_counit")
@@ -379,20 +381,27 @@ def check_adjunction(
         et_g = eta(gm.model)
         geps = g_arrow(gm.as_acs_arrow(), et_g, gm)
         composite = arrow_compose(et_g.as_arrow(), geps)
+        moved = next((tx for tx in gm.model.transactions if composite(tx).txs != (tx,)), None)
         tri_g.check(
-            arrows_equal(composite, identity_arrow(gm.model)),
-            "triangle on the represented model is not the identity",
+            moved is None,
+            None if moved is None
+            else f"triangle on the represented model is not the identity: {moved.label()}",
         )
     except ModelError as exc:
         tri_g.check(False, f"materialization failure: {exc}")
 
     if strict:
         bij_eps = report.law("epsilon_bijective_strict")
-        fg_all = fg.enumerate_carrier()
-        mapped = [gm.on_element(x) for x in fg_all]
+        first_of: dict = {}
+        collision = None
+        for x in fg.enumerate_carrier():
+            y = first_of.setdefault(gm.on_element(x), x)
+            if y is not x:
+                collision = f": ({fg.label(y)}, {fg.label(x)})"
+                break
         bij_eps.check(
-            len(set(mapped)) == len(mapped),
-            "counit not injective on enumerated round-trip elements",
+            collision is None,
+            "counit not injective on enumerated round-trip elements" + (collision or ""),
         )
         bij_eps.check(
             inst.perfectly_atomic, "strict mode on a non-perfectly-atomic instance"

@@ -481,7 +481,9 @@ class Chunk:
     position index (see :class:`_Index`).  Both are parts of the immutable
     value, not caches keyed by input.  The label is not kept: it joins the
     labels its transactions keep, and is built on each call, since a
-    chunk's label is read at most once (to sort a carrier or to report).
+    chunk's label is read at most once: to report it, or to sort the
+    carrier of a model whose transaction labels do not fix its order (see
+    :func:`label_order`).
     """
 
     txs: TxList
@@ -779,8 +781,9 @@ class IeutxoModel:
     input slots, which probe unspent outputs, support-free candidates first
     and then in candidate and slot position order.  Each enumerated
     transaction's facts are found once, and they also decide whether it is
-    a chunk on its own.  Its pair table (:func:`pair_masks`) is kept from
-    its first read, not built here: most models are never enumerated.  A
+    a chunk on its own.  Its pair table (:func:`pair_masks`) and its
+    transactions' label order (:func:`label_order`) are kept from their
+    first read, not built here: most models are never enumerated.  A
     model with another universe is a new model (``dataclasses.replace``).
     """
 
@@ -791,6 +794,7 @@ class IeutxoModel:
     _out_probes: tuple = field(default=(), init=False, repr=False)
     _in_probes: tuple = field(default=(), init=False, repr=False)
     _pairs: Optional[tuple] = field(default=None, init=False, repr=False)
+    _order: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "transactions", tuple(self.transactions))
@@ -838,21 +842,49 @@ def pair_masks(model: IeutxoModel) -> tuple[int, ...]:
     return pairs
 
 
+def label_order(model: IeutxoModel) -> tuple[tuple[int, ...], bool]:
+    """The model's transaction indices in label order, ties by index, and
+    whether chunk labels compare as these ranks do: when no transaction
+    label equals or is a prefix of another.  A chunk's label is ``ch[``,
+    its transactions' labels joined by ``;``, then ``]``; every transaction
+    label starts with ``tx[``, and ``;`` sorts below ``]``.  So, on that
+    condition, ``ch[]`` comes first, and otherwise the first differing
+    transaction decides, an extension sorting before its prefix.  In sorted
+    order a label that is a prefix of another is a prefix of the next one,
+    so only neighbours are compared.  The model is immutable, so it keeps
+    the order from the first read."""
+    order = model._order
+    if order is None:
+        labels = [tx.label() for tx in model.transactions]
+        ranked = sorted(range(len(labels)), key=labels.__getitem__)
+        exact = not any(
+            labels[later].startswith(labels[j]) for j, later in zip(ranked, ranked[1:])
+        )
+        order = (tuple(ranked), exact)
+        object.__setattr__(model, "_order", order)
+    return order
+
+
 def walk_chunks(model: IeutxoModel) -> Iterator[tuple[Chunk, int, int]]:
     """All chunks of the model, each with its mask (bit ``j`` for transaction
     ``j``) and the mask of transactions allowed after it: :data:`EMPTY_CHUNK`,
-    then depth first in transaction order.  By locality ``t`` extends a chunk
-    exactly when it may follow each of its transactions, so the walk ANDs
-    their :func:`pair_masks` entries, checks no seam and indexes no chunk."""
+    then depth first, visiting transactions in label order and yielding each
+    chunk after its extensions.  When :func:`label_order` says the ranks
+    decide, that is the chunks' label order; otherwise a caller that needs
+    it sorts by label.  By locality ``t`` extends a chunk exactly when it
+    may follow each of its transactions, so the walk ANDs their
+    :func:`pair_masks` entries, checks no seam and indexes no chunk."""
     follows = pair_masks(model)
+    ranked, _ = label_order(model)
+    txs = model.transactions
 
     def walk(prefix: TxList, mask: int, allowed: int) -> Iterator[tuple[Chunk, int, int]]:
-        for j, tx in enumerate(model.transactions):
+        for j in ranked:
             if allowed >> j & 1:
-                grown = prefix + (tx,)
+                grown = prefix + (txs[j],)
                 grown_mask, after = mask | 1 << j, allowed & follows[j]
-                yield Chunk._trusted(grown), grown_mask, after
                 yield from walk(grown, grown_mask, after)
+                yield Chunk._trusted(grown), grown_mask, after
 
     everything = (1 << len(follows)) - 1
     yield EMPTY_CHUNK, 0, everything
@@ -881,7 +913,8 @@ def pair_mismatch(
 
 
 def enumerate_chunks(model: IeutxoModel) -> Iterator[Chunk]:
-    """All chunks of the model's transactions, in :func:`walk_chunks` order."""
+    """All chunks of the model's transactions, in :func:`walk_chunks` order:
+    label order, unless :func:`label_order` says the ranks do not decide it."""
     return (chunk for chunk, _, _ in walk_chunks(model))
 
 

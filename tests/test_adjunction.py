@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 
 from chunkalg import acs, functors, ieutxo
-from chunkalg.acs import ChunkAcs, FiniteSetsAcs, Fn, SubstAcs, Var, perm_acs_arrow
+from chunkalg.acs import AcsArrow, ChunkAcs, FiniteSetsAcs, Fn, SubstAcs, Var, perm_acs_arrow
 from chunkalg.atoms import Permutation
 from chunkalg.axioms import oriented_axiom_check
 from chunkalg.functors import NotIutxo, check_adjunction, eta, iutxo_embedding_check
@@ -151,21 +151,22 @@ def test_a_swapped_unit_names_the_list_and_each_sides_violation(pair_model, monk
     }
 
 
+def _dropping_on_element(self, x):
+    """A counit that drops the last factor of a represented chunk."""
+    if x is ieutxo.FAIL:
+        return self.inst.top
+    out = self.inst.bot
+    for tx in x.txs[:-1] or x.txs:
+        out = self.inst.mcompose(out, self.element_of[tx])
+    return out
+
+
 def test_a_counit_dropping_a_factor_names_the_pair_it_fails_on(pair_model, monkeypatch):
     """A counit that drops the last factor of a represented chunk maps
     ``u·v`` short of ``ε(u)·ε(v)``; the monoid-map law's witness keeps its
     fixed note and names both elements."""
     inst = FiniteSetsAcs(("a", "b", "c"))
-
-    def dropping_on_element(self, x):
-        if x is ieutxo.FAIL:
-            return self.inst.top
-        out = self.inst.bot
-        for tx in x.txs[:-1] or x.txs:
-            out = self.inst.mcompose(out, self.element_of[tx])
-        return out
-
-    monkeypatch.setattr(functors.GModel, "on_element", dropping_on_element)
+    monkeypatch.setattr(functors.GModel, "on_element", _dropping_on_element)
     report = check_adjunction(pair_model, inst, seed=0, samples=30)
     hom = report.result("epsilon_monoid_map")
     assert hom.witnesses
@@ -179,6 +180,86 @@ def test_a_counit_dropping_a_factor_names_the_pair_it_fails_on(pair_model, monke
     for witness in hom.witnesses:
         u, v = named[witness]
         assert not fg.is_top(u) and not fg.is_top(v)
+
+
+def test_a_counit_dropping_a_factor_names_the_first_colliding_pair(pair_model, monkeypatch):
+    """Dropping a factor maps a represented chunk and its prefix alike, so
+    the strict counit is no injection; its witness keeps the fixed note and
+    names the first two round-trip elements, in carrier order, that collide."""
+    monkeypatch.setattr(functors.GModel, "on_element", _dropping_on_element)
+    inst = ChunkAcs(pair_model)
+    report = check_adjunction(pair_model, inst, seed=0, samples=10, strict=True)
+    gm = functors.g_object(inst)
+    fg = ChunkAcs(gm.model)
+    carrier = fg.enumerate_carrier()
+    images = [gm.on_element(x) for x in carrier]
+    j = next(j for j, image in enumerate(images) if image in images[:j])
+    first, second = carrier[images.index(images[j])], carrier[j]
+    assert report.result("epsilon_bijective_strict").witnesses == [
+        "counit not injective on enumerated round-trip elements: "
+        f"({fg.label(first)}, {fg.label(second)})"
+    ]
+
+
+def test_a_unit_swapped_on_the_represented_model_names_the_transaction_it_moves(
+    pair_model, monkeypatch
+):
+    """With the unit at G(inst) swapping its two images, the triangle on the
+    represented model sends its first transaction to the second; the
+    witness keeps the fixed note and names the first."""
+    real_eta = functors.eta
+
+    def mutated_eta(m):
+        et = real_eta(m)
+        if m is pair_model:
+            return et
+        first, second = list(et.unit)
+        return replace(et, unit={first: et.unit[second], second: et.unit[first]})
+
+    monkeypatch.setattr(functors, "eta", mutated_eta)
+    inst = FiniteSetsAcs(("a", "b"))
+    report = check_adjunction(pair_model, inst, seed=0, samples=10)
+    moved = functors.g_object(inst).model.transactions[0]
+    assert report.result("triangle_unit_after_represented_counit").witnesses == [
+        f"triangle on the represented model is not the identity: {moved.label()}"
+    ]
+
+
+def test_a_swapped_unit_names_the_source_transaction_of_the_square(pair_model, monkeypatch):
+    """An arrow from ``pair`` onto a copy of it, with the unit at ``pair``
+    swapped: the naturality square fails at ``tx``, the first source
+    transaction, and the witness keeps the fixed note and names it."""
+    tx, ty = pair_model.transactions
+    copy = IeutxoModel("copy", pair_model.transactions)
+    onto = IeutxoArrow(pair_model, copy, {t: Chunk((t,)) for t in pair_model.transactions})
+    _mutate_unit(monkeypatch, pair_model, lambda unit: {tx: unit[ty], ty: unit[tx]})
+    report = check_adjunction(
+        pair_model, FiniteSetsAcs(("a", "b")), seed=0, samples=10, model_arrows=[onto]
+    )
+    nat = report.result("eta_natural")
+    assert nat.checked == 1
+    assert nat.witnesses == [f"unit naturality square does not commute: {tx.label()}"]
+
+
+class _FirstFactorOnly(FiniteSetsAcs):
+    """Finite sets whose factorisation keeps only the first factor."""
+
+    def factor(self, x) -> list:
+        return super().factor(x)[:1]
+
+
+def test_an_instance_losing_factors_names_the_atomics_of_the_square(pair_model):
+    """An arrow adding ``c`` to each set is represented through the first
+    factor only, so the counit square fails at ``{a}`` and ``{b}`` and holds
+    at ``{c}``; each witness keeps the fixed note and names the atomic."""
+    inst = _FirstFactorOnly(("a", "b", "c"))
+    adds_c = AcsArrow(inst, inst, lambda x: x if inst.is_top(x) else x | {"c"})
+    report = check_adjunction(pair_model, inst, seed=0, samples=10, acs_arrows=[adds_c])
+    eps_nat = report.result("epsilon_natural")
+    assert eps_nat.checked == 3
+    assert eps_nat.witnesses == [
+        f"counit naturality square does not commute: {inst.label(frozenset(a))}" for a in "ab"
+    ]
 
 
 def test_each_represented_model_is_built_once_per_verdict(backbone_model, monkeypatch):

@@ -259,11 +259,15 @@ def test_probe_loop_and_enumeration_match_references(seed, n_txs):
     model = gen_model(cfg, rng, n_txs=n_txs)
     chunks = list(enumerate_chunks(model))
     txs = model.transactions
-    # Depth first over index order: each list of distinct indices, then its
-    # extensions, which is lexicographic order with prefixes first.
-    walk = sorted(p for r in range(len(txs) + 1) for p in permutations(range(len(txs)), r))
-    lists = (tuple(txs[i] for i in p) for p in walk)
-    assert [c.txs for c in chunks] == [p for p in lists if check_chunk(p).ok]
+    # The empty list, then depth first over the transactions in label order,
+    # each list after its extensions: lexicographic order of label ranks,
+    # each list ended by a rank above every transaction's.
+    n = len(txs)
+    rank = {j: r for r, j in enumerate(sorted(range(n), key=lambda j: txs[j].label()))}
+    lists = [p for r in range(n + 1) for p in permutations(range(n), r)]
+    walk = sorted(lists, key=lambda p: (len(p) > 0, tuple(rank[j] for j in p) + (n,)))
+    valid = [p for p in (tuple(txs[i] for i in p) for p in walk) if check_chunk(p).ok]
+    assert [c.txs for c in chunks] == valid
     assert chunks[0] is EMPTY_CHUNK
     for c in chunks:
         assert ledger_sets(c) == _ledger_reference(c.txs)
